@@ -4,7 +4,7 @@ from .autodiff import Adam, Tensor, finite_difference_check, no_grad
 from .events import (Event, EventWindow, VoxelGrid, encode_voxel_grid,
                      load_events, normalize_nonzero, parse_event_stream,
                      save_events, slice_temporal_bins, split_windows)
-from .model import Network, NetworkSpec, build_network, skip_connect
+from .model import Network, NetworkSpec, skip_connect
 from .neurons import (AmpBlockParams, NeuronConfig, amp_compute_tau,
                       amp_lif_step, if_step, lif_step, mp_step, plif_tau,
                       surrogate_spike)

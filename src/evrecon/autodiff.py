@@ -517,25 +517,6 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Functional one-step Adam on raw arrays.
-
-    `state` is a dict with keys m, v (lists of arrays) and t; mutated in
-    place and returned for convenience.
-    """
-    state["t"] += 1
-    t = state["t"]
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter {p.shape}")
-        state["m"][i] = beta1 * state["m"][i] + (1.0 - beta1) * g
-        state["v"][i] = beta2 * state["v"][i] + (1.0 - beta2) * g * g
-        m_hat = state["m"][i] / (1.0 - beta1 ** t)
-        v_hat = state["v"][i] / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return state
-
-
 # -- gradient checking -------------------------------------------------------
 
 def finite_difference_check(f, x, h=1e-3):

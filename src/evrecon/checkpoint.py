@@ -9,6 +9,7 @@ JSON metadata (e.g. a network spec) rides along as a reserved entry named
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -46,30 +47,50 @@ def save_tensors(path, tensors, meta=None):
 
 
 def load_tensors(path):
-    """Read a container; returns (tensors dict, meta or None)."""
+    """Read a container; returns (tensors dict, meta or None).
+
+    Every read goes through one bounds check, so a cut-off or corrupt
+    file raises ParseError naming the file and the field it ends in.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ParseError(f"{path}: not an SPKT container")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise ParseError(f"{path}: unsupported container version {version}")
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = [struct.unpack("<Q", fh.read(8))[0] for _ in range(rank)]
-            (tag,) = struct.unpack("<B", fh.read(1))
-            if tag not in _DTYPE_TAGS:
-                raise ParseError(f"{path}: unknown dtype tag {tag}")
-            dtype = _DTYPE_TAGS[tag]
-            n = int(np.prod(dims)) if dims else 1
-            raw = fh.read(n * dtype.itemsize)
-            if len(raw) != n * dtype.itemsize:
-                raise ParseError(f"{path}: truncated tensor data for '{name}'")
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        data = memoryview(fh.read())
+    if data[:len(MAGIC)] != MAGIC:
+        raise ParseError(f"{path}: not an SPKT container")
+    pos = len(MAGIC)
+
+    def take(size, what):
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ParseError(f"{path}: file ends inside {what}")
+        pos += size
+        return data[pos - size:pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    version, count = unpack("<II", "the header")
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported container version {version}")
+    tensors = {}
+    for i in range(count):
+        (name_len,) = unpack("<I", f"the name length of tensor {i}")
+        try:
+            name = bytes(take(name_len, f"the name of tensor {i}")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: tensor {i} has a malformed name ({exc})") from None
+        (rank,) = unpack("<I", f"the header of tensor '{name}'")
+        dims = unpack(f"<{rank}Q", f"the header of tensor '{name}'")
+        (tag,) = unpack("<B", f"the header of tensor '{name}'")
+        if tag not in _DTYPE_TAGS:
+            raise ParseError(f"{path}: unknown dtype tag {tag}")
+        dtype = _DTYPE_TAGS[tag]
+        raw = take(math.prod(dims) * dtype.itemsize, f"the data of tensor '{name}'")
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
     meta = None
     if META_KEY in tensors:
         raw = tensors.pop(META_KEY).astype(np.uint8).tobytes()
-        meta = json.loads(raw.decode("utf-8"))
+        try:
+            meta = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"{path}: malformed metadata ({exc})") from None
     return tensors, meta

@@ -15,14 +15,13 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import energy as energy_mod
 from . import quality
-from .errors import ConfigError, EvreconError
-from .events import (EventWindow, encode_voxel_grid, load_events,
-                     normalize_nonzero, save_events, slice_temporal_bins,
-                     split_windows)
+from .errors import ConfigError, EvreconError, config_from_dict
+from .events import (encode_voxel_grid, load_events, normalize_nonzero,
+                     save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec
-from .neurons import NeuronConfig, lif_step, surrogate_grad
+from .neurons import NeuronConfig, lif_step, mp_step, surrogate_grad
 from .synthetic import SyntheticScene, generate_events, random_scene
-from .training import TrainConfig, train
+from .training import TrainConfig, train, write_metrics_csv
 
 
 def write_pgm(path, img):
@@ -46,7 +45,10 @@ def read_pgm(path):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _scene_from_config(cfg, seed):
@@ -71,14 +73,17 @@ def _scene_from_meta(meta):
                           contrast=meta["contrast"], dt=meta["dt"])
 
 
-def _events_to_bins(events, sensor, args):
+def _windows(events, sensor, args):
     h, w = sensor
     if args.window_ms is not None:
-        windows = split_windows(events, h, w, duration=args.window_ms / 1000.0)
-    elif args.window_count is not None:
-        windows = split_windows(events, h, w, count=args.window_count)
-    else:
-        raise ConfigError("give --window-ms or --window-count")
+        return split_windows(events, h, w, duration=args.window_ms / 1000.0)
+    if args.window_count is not None:
+        return split_windows(events, h, w, count=args.window_count)
+    raise ConfigError("give --window-ms or --window-count")
+
+
+def _events_to_bins(events, sensor, args):
+    windows = _windows(events, sensor, args)
     bins = []
     for window in windows:
         grid = normalize_nonzero(encode_voxel_grid(window, args.bins))
@@ -116,12 +121,7 @@ def cmd_voxelize(args):
             raise ConfigError("event file has no size header; pass --height/--width")
         sensor = (args.height, args.width)
     h, w = sensor
-    if args.window_ms is not None:
-        windows = split_windows(events, h, w, duration=args.window_ms / 1000.0)
-    elif args.window_count is not None:
-        windows = split_windows(events, h, w, count=args.window_count)
-    else:
-        raise ConfigError("give --window-ms or --window-count")
+    windows = _windows(events, sensor, args)
     tensors = {}
     spans = []
     for i, window in enumerate(windows):
@@ -139,8 +139,9 @@ def cmd_voxelize(args):
 def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = NetworkSpec(**_load_json(args.spec))
-    cfg = TrainConfig(**_load_json(args.train_config)) if args.train_config else TrainConfig()
+    spec = config_from_dict(NetworkSpec, _load_json(args.spec), args.spec)
+    cfg = (config_from_dict(TrainConfig, _load_json(args.train_config), args.train_config)
+           if args.train_config else TrainConfig())
     if args.epochs is not None:
         cfg.epochs = args.epochs
     cfg.seed = args.seed
@@ -152,9 +153,7 @@ def cmd_train(args):
               progress=lambda r: print(f"epoch {r['epoch']}: loss {r['loss']:.4f} "
                                        f"mse {r['mse']:.4f}"))
     else:
-        with open(out / "metrics.csv", "w", newline="") as fh:
-            csv.DictWriter(fh, fieldnames=["epoch", "loss", "mse", "ssim",
-                                           "spike_rate"]).writeheader()
+        write_metrics_csv(out / "metrics.csv", [])
     net.save(out / "checkpoint.spkt")
     print(f"saved checkpoint to {out / 'checkpoint.spkt'}")
     return 0
@@ -242,7 +241,7 @@ def cmd_profile(args):
         net = Network.load(args.checkpoint)
         spec = net.spec
     elif args.spec:
-        spec = NetworkSpec(**_load_json(args.spec))
+        spec = config_from_dict(NetworkSpec, _load_json(args.spec), args.spec)
         net = Network(spec, seed=args.seed)
     else:
         raise ConfigError("give --checkpoint, --spec, or --paper-rates")
@@ -286,7 +285,6 @@ def cmd_gradcheck(args):
 
     # all-MP toy chain (smooth end to end)
     def mp_chain(t):
-        from .neurons import mp_step
         v = ad.Tensor(np.zeros(t.shape))
         loss = None
         for _ in range(3):
@@ -297,7 +295,6 @@ def cmd_gradcheck(args):
     check("mp_lif_3step", mp_chain, rng.standard_normal(4))
 
     # frozen-spike-pattern analytic check on a 3-step scalar LIF chain
-    from .neurons import lif_step as _lif
     ncfg = NeuronConfig(kind="LIF", tau=2.0)
     w0 = 0.7
     xs = [1.3, 0.2, 0.9]
@@ -305,7 +302,7 @@ def cmd_gradcheck(args):
         v = ad.Tensor(0.0)
         total = None
         for xv in xs:
-            s, v = _lif(v, wt * xv, ncfg)
+            s, v = lif_step(v, wt * xv, ncfg)
             total = s if total is None else total + s
         return total
     wt = ad.Tensor(np.array(w0), requires_grad=True)

@@ -11,8 +11,6 @@ the ANN MAC cost.
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .model import layer_geometry
 

@@ -5,7 +5,7 @@ comment; an optional leading "# H W" header declares the sensor size).
 Polarity is stored on disk as {0, 1}; 0 maps to -1 internally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,23 +1,33 @@
-"""U-shaped spiking reconstruction networks.
+"""U-shaped spiking reconstruction networks, built from one stage table.
 
-The fully spiking variant runs head -> encoders -> residual blocks ->
-decoders (with spike skip connections) -> a conv + MP_LIF prediction
+`stage_table(spec)` states the network once: its stages in forward order
+(the conv head, the stride-2 encoders `down{i}`, the residual halves
+`res{r}-1`/`res{r}-2`, the upsampling decoders `up{j}` and the prediction
+layer `pred`), each with its kernel, stride, channels and output grid.
+`Network` builds one `Stage` per row (conv + batch norm, its neuron and an
+optional potential neuron) and derives everything else from that list:
+parameters, recurrent state ids, checkpoint tensor names, monitor ids, and
+the rows the energy model prices (`layer_geometry`).
+
+The fully spiking variant (EVSNN) runs head -> encoders -> residual blocks
+-> decoders (with spike skip connections) -> a conv + MP_LIF prediction
 layer whose membrane potential is the output image. The potential-assisted
-variant adds an MP (or adaptive-tau) neuron to every encoder and decoder
-stage; encoder potentials ride the skip connections and decoder potentials
-ride the backbone into the next stage.
+variant (PA-EVSNN) differs only in the table's `potential` flag: every
+encoder and decoder stage gets an MP (or adaptive-tau AMP) neuron; encoder
+potentials ride the skip connections and decoder potentials ride the
+backbone into the next stage.
 """
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
-from .neurons import NeuronConfig, SpikingLayer, MPLayer
+from .errors import ConfigError, ContractError, ParseError, ShapeError, config_from_dict
+from .neurons import MPLayer, NeuronConfig, SpikingLayer
 
 SKIP_KINDS = ("ADD", "OR", "IAND", "CONCAT")
 
@@ -68,7 +78,7 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        return config_from_dict(cls, json.loads(text), "spec JSON")
 
 
 def skip_connect(kind, a, b):
@@ -91,58 +101,72 @@ def skip_connect(kind, a, b):
     return ad.concat([a, b], axis=1)
 
 
-def layer_geometry(spec):
-    """Yield one descriptor per weighted layer, in forward order.
+@dataclass(frozen=True)
+class StageGeometry:
+    """One row of the stage table."""
 
-    Each descriptor: name, op ('conv' | 'dwconv' | 'linear'), kernel,
-    stride, cin, cout, h_out, w_out, upsample, snn (operates on binary
-    spikes), mp (belongs to a membrane-potential branch).
+    name: str     # head, down{i}, res{r}-{1,2}, up{j} or pred
+    role: str     # head, down, res, up or pred
+    kernel: int
+    stride: int
+    cin: int
+    cout: int
+    h_out: int
+    w_out: int
+    upsample: bool = False   # nearest 2x upsample before the conv
+    potential: bool = False  # carries an MP/AMP potential neuron
+
+
+def stage_table(spec):
+    """The network's stages in forward order.
+
+    Channels double at each stride-2 encoder and halve at each decoder;
+    CONCAT skips double a decoder's input channels.
     """
     hp, wp = spec.padded_size()
-    nc = spec.n_channels
-
-    def conv(name, k, stride, cin, cout, h, w, upsample=False, snn=True, mp=False):
-        return {"name": name, "op": "conv", "kernel": k, "stride": stride,
-                "cin": cin, "cout": cout, "h_out": h, "w_out": w,
-                "upsample": upsample, "snn": snn, "mp": mp}
-
-    layers = [conv("head", spec.head_kernel, 1, 1, nc, hp, wp)]
+    nc, pa = spec.n_channels, spec.potential_assisted
+    rows = [StageGeometry("head", "head", spec.head_kernel, 1, 1, nc, hp, wp)]
     h, w = hp, wp
     for i in range(1, spec.n_encoders + 1):
         h, w = h // 2, w // 2
-        cin, cout = nc * 2 ** (i - 1), nc * 2 ** i
-        layers.append(conv(f"down{i}", spec.encoder_kernel, 2, cin, cout, h, w))
-        if spec.potential_assisted:
-            layers.extend(_amp_geometry(f"down{i}", cout, h, w, spec))
+        rows.append(StageGeometry(f"down{i}", "down", spec.encoder_kernel, 2,
+                                  nc * 2 ** (i - 1), nc * 2 ** i, h, w, potential=pa))
     c_mid = nc * 2 ** spec.n_encoders
     for r in range(1, spec.n_residual + 1):
-        layers.append(conv(f"res{r}-1", spec.residual_kernel, 1, c_mid, c_mid, h, w))
-        layers.append(conv(f"res{r}-2", spec.residual_kernel, 1, c_mid, c_mid, h, w))
+        for half in (1, 2):
+            rows.append(StageGeometry(f"res{r}-{half}", "res", spec.residual_kernel, 1,
+                                      c_mid, c_mid, h, w))
+    skip_factor = 2 if spec.skip_kind == "CONCAT" else 1
     for j in range(1, spec.n_decoders + 1):
-        cin = nc * 2 ** (spec.n_encoders - j + 1)
-        cout = nc * 2 ** (spec.n_encoders - j)
-        if spec.skip_kind == "CONCAT":
-            cin *= 2
         h, w = h * 2, w * 2
-        layers.append(conv(f"up{j}", spec.decoder_kernel, 1, cin, cout, h, w,
-                           upsample=True))
-        if spec.potential_assisted:
-            layers.extend(_amp_geometry(f"up{j}", cout, h, w, spec))
-    layers.append(conv("pred", spec.prediction_kernel, 1, nc, 1, hp, wp))
+        cout = nc * 2 ** (spec.n_encoders - j)
+        rows.append(StageGeometry(f"up{j}", "up", spec.decoder_kernel, 1,
+                                  2 * cout * skip_factor, cout, h, w,
+                                  upsample=True, potential=pa))
+    rows.append(StageGeometry("pred", "pred", spec.prediction_kernel, 1, nc, 1, hp, wp))
+    return rows
+
+
+def layer_geometry(spec):
+    """The weighted layers the energy model prices, in forward order.
+
+    One conv row per stage, followed by the depthwise conv and the linear
+    layer of the stage's AMP block when it has one; a decoder's AMP rows
+    sit on its upsampled output grid. Each row holds the stage's geometry
+    plus op ('conv' | 'dwconv' | 'linear'), snn (operates on binary
+    spikes) and mp (belongs to a membrane-potential branch).
+    """
+    layers = []
+    for g in stage_table(spec):
+        row = dict(asdict(g), op="conv", snn=True, mp=False)
+        layers.append(row)
+        if g.potential and spec.amp_enabled:
+            amp = dict(row, stride=1, upsample=False, snn=False, mp=True)
+            layers.append(dict(amp, name=f"{g.name}-amp-conv", op="dwconv", kernel=3,
+                               cin=g.cout))
+            layers.append(dict(amp, name=f"{g.name}-amp-linear", op="linear", kernel=1,
+                               cin=2 * g.cout, h_out=1, w_out=1))
     return layers
-
-
-def _amp_geometry(stage, channels, h, w, spec):
-    if not spec.amp_enabled:
-        return []
-    return [
-        {"name": f"{stage}-amp-conv", "op": "dwconv", "kernel": 3, "stride": 1,
-         "cin": channels, "cout": channels, "h_out": h, "w_out": w,
-         "upsample": False, "snn": False, "mp": True},
-        {"name": f"{stage}-amp-linear", "op": "linear", "kernel": 1, "stride": 1,
-         "cin": 2 * channels, "cout": channels, "h_out": 1, "w_out": 1,
-         "upsample": False, "snn": False, "mp": True},
-    ]
 
 
 class ConvStage:
@@ -188,15 +212,6 @@ class ConvStage:
             out[f"{self.name}.running_var"] = self.running_var
         return out
 
-    def load_tensors(self, tensors):
-        self.w.data[:] = tensors[f"{self.name}.w"]
-        self.b.data[:] = tensors[f"{self.name}.b"]
-        if self.has_bn and f"{self.name}.gamma" in tensors:
-            self.gamma.data[:] = tensors[f"{self.name}.gamma"]
-            self.beta.data[:] = tensors[f"{self.name}.beta"]
-            self.running_mean[:] = tensors[f"{self.name}.running_mean"]
-            self.running_var[:] = tensors[f"{self.name}.running_var"]
-
     def fold_bn(self, eps=1e-5):
         """Fold batch-norm statistics into the conv weights and disable it."""
         if not self.has_bn:
@@ -212,6 +227,24 @@ def _neuron_cfg(spec, kind=None):
                         v_reset=spec.v_reset, v_rest=spec.v_reset, tau=spec.tau)
 
 
+@dataclass
+class Stage:
+    """A built row of the stage table."""
+
+    geom: StageGeometry
+    conv: ConvStage
+    neuron: object           # SpikingLayer; the MP_LIF output layer for `pred`
+    potential: object = None  # MPLayer on PA-EVSNN encoders and decoders
+
+    @property
+    def name(self):
+        return self.geom.name
+
+
+def _with_potential(x, potential):
+    return x if potential is None else x + potential
+
+
 class Network:
     """A built reconstruction network with per-layer recurrent state."""
 
@@ -219,141 +252,73 @@ class Network:
         self.spec = spec
         rng = np.random.default_rng(seed)
         self.training = False
-        nc = spec.n_channels
         hp, wp = spec.padded_size()
         self._pad = (hp - spec.height, wp - spec.width)
 
         mp_kind = "AMP_LIF" if spec.amp_enabled else "MP_LIF"
-        self.head = ConvStage("head", 1, nc, spec.head_kernel, 1, rng)
-        self.head_neuron = SpikingLayer(_neuron_cfg(spec))
-
-        self.encoders = []
-        for i in range(1, spec.n_encoders + 1):
-            cin, cout = nc * 2 ** (i - 1), nc * 2 ** i
-            stage = ConvStage(f"down{i}", cin, cout, spec.encoder_kernel, 2, rng)
-            neuron = SpikingLayer(_neuron_cfg(spec))
-            pot = (MPLayer(_neuron_cfg(spec, mp_kind), channels=cout, rng=rng)
-                   if spec.potential_assisted else None)
-            self.encoders.append((stage, neuron, pot))
-
-        c_mid = nc * 2 ** spec.n_encoders
-        self.residuals = []
-        for r in range(1, spec.n_residual + 1):
-            block = []
-            for half in (1, 2):
-                stage = ConvStage(f"res{r}-{half}", c_mid, c_mid,
-                                  spec.residual_kernel, 1, rng)
-                block.append((stage, SpikingLayer(_neuron_cfg(spec))))
-            self.residuals.append(block)
-
-        self.decoders = []
-        for j in range(1, spec.n_decoders + 1):
-            cin = nc * 2 ** (spec.n_encoders - j + 1)
-            cout = nc * 2 ** (spec.n_encoders - j)
-            if spec.skip_kind == "CONCAT":
-                cin *= 2
-            stage = ConvStage(f"up{j}", cin, cout, spec.decoder_kernel, 1, rng,
-                              upsample=True)
-            neuron = SpikingLayer(_neuron_cfg(spec))
-            pot = (MPLayer(_neuron_cfg(spec, mp_kind), channels=cout, rng=rng)
-                   if spec.potential_assisted else None)
-            self.decoders.append((stage, neuron, pot))
-
-        self.pred = ConvStage("pred", nc, 1, spec.prediction_kernel, 1, rng, bn=False)
-        self.pred_neuron = MPLayer(NeuronConfig(kind="MP_LIF", tau=2.0))
+        self.stages = []
+        for g in stage_table(spec):
+            # per stage the conv draws from `rng` before the AMP block does
+            conv = ConvStage(g.name, g.cin, g.cout, g.kernel, g.stride, rng,
+                             upsample=g.upsample, bn=g.role != "pred")
+            neuron = (MPLayer(NeuronConfig(kind="MP_LIF", tau=2.0)) if g.role == "pred"
+                      else SpikingLayer(_neuron_cfg(spec)))
+            potential = (MPLayer(_neuron_cfg(spec, mp_kind), channels=g.cout, rng=rng)
+                         if g.potential else None)
+            self.stages.append(Stage(g, conv, neuron, potential))
+        self._roles = {}
+        self.neurons = {}  # state id -> neuron layer, in forward order
+        for stage in self.stages:
+            self._roles.setdefault(stage.geom.role, []).append(stage)
+            self.neurons[stage.name] = stage.neuron
+            if stage.potential is not None:
+                self.neurons[f"{stage.name}-mp"] = stage.potential
 
     # -- bookkeeping ---------------------------------------------------------
     def _conv_stages(self):
-        stages = [self.head]
-        stages += [s for s, _, _ in self.encoders]
-        for block in self.residuals:
-            stages += [s for s, _ in block]
-        stages += [s for s, _, _ in self.decoders]
-        stages.append(self.pred)
-        return stages
-
-    def _neuron_layers(self):
-        layers = [self.head_neuron]
-        for _, neuron, pot in self.encoders:
-            layers.append(neuron)
-            if pot is not None:
-                layers.append(pot)
-        for block in self.residuals:
-            layers += [n for _, n in block]
-        for _, neuron, pot in self.decoders:
-            layers.append(neuron)
-            if pot is not None:
-                layers.append(pot)
-        layers.append(self.pred_neuron)
-        return layers
+        return [stage.conv for stage in self.stages]
 
     def spiking_layer_ids(self):
-        ids = ["head"] + [f"down{i+1}" for i in range(self.spec.n_encoders)]
-        for r in range(1, self.spec.n_residual + 1):
-            ids += [f"res{r}-1", f"res{r}-2"]
-        ids += [f"up{j+1}" for j in range(self.spec.n_decoders)]
-        return ids
+        return [stage.name for stage in self.stages if isinstance(stage.neuron, SpikingLayer)]
 
     def parameters(self):
-        params = []
-        for stage in self._conv_stages():
-            params += stage.parameters()
-        for layer in self._neuron_layers():
-            params += layer.parameters()
-        return params
+        params = [p for conv in self._conv_stages() for p in conv.parameters()]
+        return params + [p for layer in self.neurons.values() for p in layer.parameters()]
 
     def num_parameters(self):
         return sum(p.data.size for p in self.parameters())
 
     def reset_state(self):
-        for layer in self._neuron_layers():
+        for layer in self.neurons.values():
             layer.reset_state()
 
     def detach_state(self):
-        for layer in self._neuron_layers():
+        for layer in self.neurons.values():
             layer.detach_state()
 
     def get_state(self):
         """Membrane potentials keyed by layer id (arrays, detached)."""
-        state = {}
-        for lid, layer in zip(self._state_ids(), self._neuron_layers()):
-            state[lid] = None if layer.state is None else layer.state.data.copy()
-        return state
+        return {lid: None if layer.state is None else layer.state.data.copy()
+                for lid, layer in self.neurons.items()}
 
     def set_state(self, state):
-        layers = dict(zip(self._state_ids(), self._neuron_layers()))
-        if set(state) != set(layers):
+        if set(state) != set(self.neurons):
             raise ContractError("state keys do not match this network's layers")
         for lid, value in state.items():
-            layers[lid].state = None if value is None else Tensor(value.copy())
-
-    def _state_ids(self):
-        ids = ["head"]
-        for i in range(1, self.spec.n_encoders + 1):
-            ids.append(f"down{i}")
-            if self.spec.potential_assisted:
-                ids.append(f"down{i}-mp")
-        for r in range(1, self.spec.n_residual + 1):
-            ids += [f"res{r}-1", f"res{r}-2"]
-        for j in range(1, self.spec.n_decoders + 1):
-            ids.append(f"up{j}")
-            if self.spec.potential_assisted:
-                ids.append(f"up{j}-mp")
-        ids.append("pred")
-        return ids
+            self.neurons[lid].state = None if value is None else Tensor(value.copy())
 
     def train_mode(self, flag=True):
         self.training = flag
 
     def fold_batchnorm(self):
-        for stage in self._conv_stages():
-            stage.fold_bn()
+        for conv in self._conv_stages():
+            conv.fold_bn()
 
     def zero_biases(self):
-        for stage in self._conv_stages():
-            stage.b.data[:] = 0.0
-            if stage.has_bn:
-                stage.beta.data[:] = 0.0
+        for conv in self._conv_stages():
+            conv.b.data[:] = 0.0
+            if conv.has_bn:
+                conv.beta.data[:] = 0.0
 
     # -- forward -------------------------------------------------------------
     def forward_step(self, bin_plane, monitor=None):
@@ -377,48 +342,35 @@ class Network:
         ph, pw = self._pad
         if ph or pw:
             x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
-        x = Tensor(x)
 
-        def note(lid, spikes):
+        def fire(stage, inp):
+            """Conv, spiking neuron and potential neuron; returns (spikes, potential)."""
+            u = stage.conv.forward(inp, self.training)
+            s = stage.neuron.step(u)
             if monitor is not None:
-                monitor[lid] = spikes.data
+                monitor[stage.name] = s.data
+            pot = None if stage.potential is None else stage.potential.step(u, s_input=s)
+            return s, pot
 
-        s = self.head_neuron.step(self.head.forward(x, self.training))
-        note("head", s)
+        roles = self._roles
+        s, _ = fire(roles["head"][0], Tensor(x))
+        skips = []
+        for stage in roles["down"]:
+            s, pot = fire(stage, s)
+            skips.append((s, pot))
+        res = roles.get("res", [])
+        for first, second in zip(res[::2], res[1::2]):
+            mid, _ = fire(first, s)
+            out, _ = fire(second, mid)
+            s = ad.maximum(s, out)  # OR-merge keeps the block spike-compatible
+        pot = None
+        for stage, (a, a_pot) in zip(roles["up"], reversed(skips)):
+            fused = skip_connect(spec.skip_kind, _with_potential(a, a_pot),
+                                 _with_potential(s, pot))
+            s, pot = fire(stage, fused)
 
-        enc_spikes, enc_pots = [], []
-        for idx, (stage, neuron, pot) in enumerate(self.encoders, start=1):
-            u = stage.forward(s, self.training)
-            s = neuron.step(u)
-            note(f"down{idx}", s)
-            enc_spikes.append(s)
-            enc_pots.append(pot.step(u, s_input=s) if (pot is not None and pot.amp is not None)
-                            else (pot.step(u) if pot is not None else None))
-
-        for r, block in enumerate(self.residuals, start=1):
-            s_in = s
-            for half, (stage, neuron) in enumerate(block, start=1):
-                s = neuron.step(stage.forward(s, self.training))
-                note(f"res{r}-{half}", s)
-            s = ad.maximum(s_in, s)  # OR-merge keeps the block spike-compatible
-
-        b = s
-        b_pot = None
-        for j, (stage, neuron, pot) in enumerate(self.decoders, start=1):
-            a = enc_spikes[spec.n_encoders - j]
-            a_pot = enc_pots[spec.n_encoders - j]
-            a_eff = a + a_pot if a_pot is not None else a
-            b_eff = b + b_pot if b_pot is not None else b
-            fused = skip_connect(spec.skip_kind, a_eff, b_eff)
-            u = stage.forward(fused, self.training)
-            s = neuron.step(u)
-            note(f"up{j}", s)
-            b_pot = (pot.step(u, s_input=s) if (pot is not None and pot.amp is not None)
-                     else (pot.step(u) if pot is not None else None))
-            b = s
-
-        pred_in = b + b_pot if b_pot is not None else b
-        image = self.pred_neuron.step(self.pred.forward(pred_in, self.training))
+        pred = roles["pred"][0]
+        image = pred.neuron.step(pred.conv.forward(_with_potential(s, pot), self.training))
         if ph or pw:
             image = image[:, :, :spec.height, :spec.width]
         return image
@@ -441,29 +393,35 @@ class Network:
         return images
 
     # -- serialization -------------------------------------------------------
-    def save(self, path):
+    def named_tensors(self):
+        """Checkpoint name -> live array: every conv stage's tensors, then
+        each neuron layer's parameters as `{state id}.np{k}`."""
         tensors = {}
-        for stage in self._conv_stages():
-            tensors.update(stage.named_tensors())
-        for lid, layer in zip(self._state_ids(), self._neuron_layers()):
+        for conv in self._conv_stages():
+            tensors.update(conv.named_tensors())
+        for lid, layer in self.neurons.items():
             for k, t in enumerate(layer.parameters()):
                 tensors[f"{lid}.np{k}"] = t.data
-        ckpt.save_tensors(path, tensors, meta={"spec": json.loads(self.spec.to_json())})
+        return tensors
+
+    def save(self, path):
+        ckpt.save_tensors(path, self.named_tensors(),
+                          meta={"spec": json.loads(self.spec.to_json())})
 
     @classmethod
     def load(cls, path):
         tensors, meta = ckpt.load_tensors(path)
-        if not meta or "spec" not in meta:
+        if not isinstance(meta, dict) or "spec" not in meta:
             raise ContractError(f"{path}: checkpoint has no embedded network spec")
-        net = cls(NetworkSpec(**meta["spec"]))
-        for stage in net._conv_stages():
-            stage.load_tensors(tensors)
-        for lid, layer in zip(net._state_ids(), net._neuron_layers()):
-            for k, t in enumerate(layer.parameters()):
-                t.data[...] = tensors[f"{lid}.np{k}"]
+        net = cls(config_from_dict(NetworkSpec, meta["spec"], f"{path}: spec"))
+        for conv in net._conv_stages():
+            # a stage saved after fold_bn() has no batch-norm tensors
+            conv.has_bn = conv.has_bn and f"{conv.name}.gamma" in tensors
+        for name, array in net.named_tensors().items():
+            if name not in tensors:
+                raise ParseError(f"{path}: checkpoint has no tensor {name!r}")
+            if tensors[name].shape != array.shape:
+                raise ParseError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                                 f"the spec wants {array.shape}")
+            array[...] = tensors[name]
         return net
-
-
-def build_network(spec, seed=0):
-    """Construct a network from its spec (alias for the constructor)."""
-    return Network(spec, seed=seed)

@@ -10,7 +10,7 @@ Design choices:
 - PLIF and AMP parameterize tau = 1 / sigmoid(w), guaranteeing tau > 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,7 @@ class AmpBlockParams:
         return [self.conv_w, self.conv_b, self.lin_w, self.lin_b]
 
 
-def amp_compute_tau(spikes, params, strict=False):
+def amp_compute_tau(spikes, params):
     """Per-channel adaptive tau from a binary spike tensor (N,C,H,W).
 
     F = channel firing rate (global average pool), I = pooled local
@@ -143,8 +143,6 @@ def amp_compute_tau(spikes, params, strict=False):
     1 / sigmoid(linear([F, I])), shape (N, C), every entry > 1.
     """
     spikes = ad.as_tensor(spikes)
-    if strict and not np.isin(spikes.data, (0.0, 1.0)).all():
-        raise ContractError("AMP input must be binary spikes")
     f = ad.global_avg_pool(spikes)
     conv = ad.depthwise_conv3x3(spikes, params.conv_w, params.conv_b)
     i = ad.global_max_pool(conv)
@@ -155,9 +153,9 @@ def amp_compute_tau(spikes, params, strict=False):
     return ad.pow(sig, -1.0)
 
 
-def amp_lif_step(v_prev, x, s_input, params, strict=False):
+def amp_lif_step(v_prev, x, s_input, params):
     """MP update whose tau is recomputed from the layer's spike tensor."""
-    tau = amp_compute_tau(s_input, params, strict=strict)
+    tau = amp_compute_tau(s_input, params)
     n, c = tau.shape
     return mp_step(v_prev, x, ad.reshape(tau, (n, c, 1, 1)))
 
@@ -251,9 +249,3 @@ class MPLayer(NeuronLayer):
         if self.amp is not None:
             params.extend(self.amp.tensors())
         return params
-
-
-def reset_state(layers):
-    """Zero every layer's membrane potential and detach from any record."""
-    for layer in layers:
-        layer.reset_state()

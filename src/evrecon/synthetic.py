@@ -2,7 +2,7 @@
 crossings in log intensity, yielding an event stream plus per-step
 ground-truth frames and flow."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

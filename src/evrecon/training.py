@@ -1,13 +1,14 @@
 """Loss functions and the truncated-BPTT training loop.
 
-The loss is computed every `loss_every` steps over that segment (L1 +
-0.5 (1 - SSIM) reconstruction term plus flow-warped temporal consistency
-from step `l0` on); gradients flow through the whole segment, then the
-recurrent state is detached at the boundary.
+The loss is computed every `loss_every` steps over that segment by
+`total_loss` (L1 + 0.5 (1 - SSIM) reconstruction term plus flow-warped
+temporal consistency from step `l0` on, reaching back to the previous
+segment's detached last prediction); gradients flow through the whole
+segment, then the recurrent state is detached at the boundary.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,17 +104,22 @@ def temporal_consistency_loss(i_k, i_prev, flow, mask=None):
     return (diff * mask).sum() / max(mask.sum(), 1.0)
 
 
-def total_loss(preds, gts, flows, cfg):
+def total_loss(preds, gts, flows, cfg, prev_pred=None, step0=0):
     """Sum of per-step reconstruction losses plus lambda-weighted temporal
-    consistency from step l0 on (k indexes the lists from 0)."""
+    consistency for global steps k >= l0, one segment at a time.
+
+    `preds[i]` is global step `step0 + i`; the temporal term of the
+    segment's first step compares against `prev_pred`, the detached last
+    prediction of the previous segment, and is skipped when there is none.
+    """
     if not (len(preds) == len(gts) == len(flows)):
         raise ShapeError("preds, gts, and flows must have equal length")
     loss = None
-    for k, (pred, gt) in enumerate(zip(preds, gts)):
+    for idx, (pred, gt) in enumerate(zip(preds, gts)):
         term = reconstruction_loss(pred, gt)
-        if k >= cfg.l0 and cfg.lambda_tc > 0:
-            term = term + cfg.lambda_tc * temporal_consistency_loss(
-                pred, preds[k - 1], flows[k])
+        prev = preds[idx - 1] if idx > 0 else prev_pred
+        if step0 + idx >= cfg.l0 and cfg.lambda_tc > 0 and prev is not None:
+            term = term + cfg.lambda_tc * temporal_consistency_loss(pred, prev, flows[idx])
         loss = term if loss is None else loss + term
     return loss if loss is not None else Tensor(0.0)
 
@@ -160,8 +166,6 @@ def train(net, scenes, cfg, log_path=None, progress=None):
     Batching stacks scenes along the batch axis, so scenes grouped into
     one batch must share a trajectory (single-scene batches always work).
     """
-    rng = np.random.default_rng(cfg.seed)
-    del rng  # seed reserved for future augmentation; data is deterministic
     batches = _batched_data(scenes, cfg)
     optimizer = ad.Adam(net.parameters(), lr=cfg.lr)
     history = []
@@ -177,24 +181,16 @@ def train(net, scenes, cfg, log_path=None, progress=None):
             prev_pred = None  # detached tail of the previous segment
             steps = min(len(bins), cfg.seq_len)
             for seg_start in range(0, steps, cfg.loss_every):
-                seg = range(seg_start, min(seg_start + cfg.loss_every, steps))
+                seg = slice(seg_start, min(seg_start + cfg.loss_every, steps))
                 preds = []
-                for k in seg:
+                for plane in bins[seg]:
                     monitor = {}
-                    pred = net.forward_step(bins[k], monitor=monitor)
-                    preds.append(pred)
+                    preds.append(net.forward_step(plane, monitor=monitor))
                     for spikes in monitor.values():
                         spike_ones += float(spikes.sum())
                         spike_elems += spikes.size
-                loss = None
-                for idx, k in enumerate(seg):
-                    term = reconstruction_loss(preds[idx], gts[k])
-                    if k >= cfg.l0 and cfg.lambda_tc > 0:
-                        prev = preds[idx - 1] if idx > 0 else prev_pred
-                        if prev is not None:
-                            term = term + cfg.lambda_tc * temporal_consistency_loss(
-                                preds[idx], prev, flows[k])
-                    loss = term if loss is None else loss + term
+                loss = total_loss(preds, gts[seg], flows[seg], cfg,
+                                  prev_pred=prev_pred, step0=seg_start)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(
@@ -207,7 +203,8 @@ def train(net, scenes, cfg, log_path=None, progress=None):
                 epoch_loss += value
                 n_segments += 1
                 last_preds = [p.data for p in preds]
-                last_gts = [gts[k] for k in seg]
+                last_gts = gts[seg]
+                del loss, preds  # free this segment's graph before the next forward
         mse_val, ssim_val = _segment_metrics(last_preds, last_gts)
         record = {
             "epoch": epoch,

@@ -241,6 +241,22 @@ class TestFiniteDifference:
         assert ad.finite_difference_check(f, Tensor(x)) < 1e-4
 
 
+def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference one-step Adam on raw arrays (the oracle for `ad.Adam`).
+
+    `state` is a dict with keys m, v (lists of arrays) and t; mutated in
+    place.
+    """
+    state["t"] += 1
+    t = state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state["m"][i] = beta1 * state["m"][i] + (1.0 - beta1) * g
+        state["v"][i] = beta2 * state["v"][i] + (1.0 - beta2) * g * g
+        m_hat = state["m"][i] / (1.0 - beta1 ** t)
+        v_hat = state["v"][i] / (1.0 - beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
     def test_first_step_is_sign_like(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -276,7 +292,7 @@ class TestAdam:
         for g in grads:
             p1.grad = g.copy()
             opt.step()
-            ad.adam_step([p2], [g.copy()], state, lr=0.01)
+            adam_step([p2], [g.copy()], state, lr=0.01)
         np.testing.assert_array_equal(p1.data, p2)
 
 

@@ -73,3 +73,25 @@ class TestFormat:
         bad.write_bytes(bytes(data))
         with pytest.raises(ParseError):
             load_tensors(bad)
+
+    def test_every_truncation_is_a_parse_error(self, tmp_path):
+        good = tmp_path / "good.spkt"
+        save_tensors(good, {"w": np.ones((2, 3)), "s": np.array(1.5)}, {"k": [1]})
+        data = good.read_bytes()
+        cut = tmp_path / "cut.spkt"
+        for end in range(len(data) + 1):
+            cut.write_bytes(data[:end])
+            try:
+                tensors, meta = load_tensors(cut)
+            except ParseError:
+                continue
+            assert end == len(data) and meta == {"k": [1]}
+            np.testing.assert_array_equal(tensors["w"], np.ones((2, 3)))
+
+    def test_truncated_header_names_the_file(self, tmp_path):
+        good = tmp_path / "good.spkt"
+        save_tensors(good, {"x": np.ones(2)}, {})
+        cut = tmp_path / "cut.spkt"
+        cut.write_bytes(good.read_bytes()[:6])
+        with pytest.raises(ParseError, match="cut.spkt.*header"):
+            load_tensors(cut)

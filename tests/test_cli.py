@@ -106,6 +106,25 @@ class TestTrain:
         assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
                      "--epochs", "0", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "checkpoint.spkt").exists()
+        assert (tmp_path / "metrics.csv").read_text().split() == [
+            "epoch,loss,mse,ssim,spike_rate"]
+
+    def test_unknown_spec_key_is_an_error(self, sim_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "chanels": 4}))
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--epochs", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "chanels" in err
+
+    def test_unknown_train_key_is_an_error(self, sim_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        tc = tmp_path / "train.json"
+        tc.write_text(json.dumps({"epochz": 1}))
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--train-config", str(tc), "--out", str(tmp_path)]) == 1
+        assert "epochz" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -153,6 +172,12 @@ class TestProfile:
         pa = json.loads(capsys.readouterr().out)
         assert evsnn["normalized_energy"] == pytest.approx(0.0415, rel=0.01)
         assert pa["normalized_energy"] == pytest.approx(0.1142, rel=0.01)
+
+    def test_unknown_spec_key_is_an_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "chanels": 4}))
+        assert main(["profile", "--spec", str(spec)]) == 1
+        assert "chanels" in capsys.readouterr().err
 
     def test_unknown_operating_point(self, capsys):
         assert main(["profile", "--paper-rates", "nope"]) == 1

@@ -1,9 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from evrecon import checkpoint
 from evrecon.autodiff import Tensor
-from evrecon.errors import ConfigError, ShapeError
-from evrecon.model import Network, NetworkSpec, layer_geometry, skip_connect
+from evrecon.errors import ConfigError, ParseError, ShapeError
+from evrecon.model import Network, NetworkSpec, layer_geometry, skip_connect, stage_table
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tiny_spec(**kw):
@@ -104,6 +110,40 @@ class TestGeometry:
                      layer_geometry(tiny_spec(potential_assisted=True, amp_enabled=True))}
         assert not any("amp" in n for n in names_plain)
         assert "down1-amp-conv" in names_amp and "up1-amp-linear" in names_amp
+
+
+class TestStageTable:
+    def test_forward_order_and_names(self):
+        names = [g.name for g in stage_table(tiny_spec(n_residual=2))]
+        assert names == ["head", "down1", "down2", "res1-1", "res1-2",
+                         "res2-1", "res2-2", "up1", "up2", "pred"]
+
+    def test_network_is_built_from_the_table(self):
+        spec = tiny_spec(potential_assisted=True, amp_enabled=True)
+        net = Network(spec, seed=0)
+        table = stage_table(spec)
+        assert [s.geom for s in net.stages] == table
+        assert [c.name for c in net._conv_stages()] == [g.name for g in table]
+        assert net.spiking_layer_ids() == [g.name for g in table[:-1]]
+        assert list(net.get_state()) == [
+            "head", "down1", "down1-mp", "down2", "down2-mp", "res1-1", "res1-2",
+            "up1", "up1-mp", "up2", "up2-mp", "pred"]
+        for stage in net.stages:
+            assert stage.conv.w.shape == (stage.geom.cout, stage.geom.cin,
+                                          stage.geom.kernel, stage.geom.kernel)
+
+    def test_monitor_ids_are_the_spiking_layers(self):
+        net = Network(tiny_spec(potential_assisted=True), seed=0)
+        monitor = {}
+        net.forward_step(np.zeros((16, 16)), monitor=monitor)
+        assert list(monitor) == net.spiking_layer_ids()
+
+    def test_energy_rows_follow_the_table(self):
+        spec = tiny_spec(potential_assisted=True, amp_enabled=True)
+        conv_rows = [g for g in layer_geometry(spec) if g["op"] == "conv"]
+        assert [r["name"] for r in conv_rows] == [g.name for g in stage_table(spec)]
+        amp = {g["name"]: g for g in layer_geometry(spec) if g["op"] == "dwconv"}
+        assert amp["up2-amp-conv"]["h_out"] == 16  # priced on the upsampled grid
 
 
 class TestParameterCounts:
@@ -229,6 +269,75 @@ class TestCheckpointIO:
         o1 = net.forward_step(x).data
         o2 = net2.forward_step(x).data
         np.testing.assert_array_equal(o1, o2)
+
+
+    def test_folded_checkpoint_reloads_the_same_network(self, tmp_path):
+        rng = np.random.default_rng(59)
+        spec = tiny_spec()
+        net = Network(spec, seed=0)
+        net.train_mode(True)
+        for _ in range(3):  # non-trivial running statistics
+            net.forward_step(rng.standard_normal((16, 16)))
+        net.train_mode(False)
+        net.fold_batchnorm()
+        path = tmp_path / "folded.spkt"
+        net.save(path)
+        net2 = Network.load(path)
+        assert not any(c.has_bn for c in net2._conv_stages())
+        net.reset_state()
+        xs = [rng.standard_normal((16, 16)) for _ in range(3)]
+        for x in xs:
+            net.forward_step(x)
+            net2.forward_step(x)
+        for lid, value in net.get_state().items():
+            np.testing.assert_array_equal(net2.get_state()[lid], value, err_msg=lid)
+
+    def test_missing_tensor_names_file_and_tensor(self, tmp_path):
+        net = Network(tiny_spec(), seed=0)
+        tensors = net.named_tensors()
+        del tensors["down1.w"]
+        path = tmp_path / "partial.spkt"
+        checkpoint.save_tensors(path, tensors, meta={"spec": json.loads(net.spec.to_json())})
+        with pytest.raises(ParseError, match=r"partial\.spkt.*'down1\.w'"):
+            Network.load(path)
+
+    def test_unknown_spec_key_in_meta(self, tmp_path):
+        net = Network(tiny_spec(), seed=0)
+        meta = {"spec": dict(json.loads(net.spec.to_json()), chanels=8)}
+        path = tmp_path / "typo.spkt"
+        checkpoint.save_tensors(path, net.named_tensors(), meta=meta)
+        with pytest.raises(ConfigError, match="chanels"):
+            Network.load(path)
+
+
+class TestCheckpointCompat:
+    """A PA-EVSNN+AMP checkpoint (16x16, 4 channels, 2 encoders, seed 3)
+    written before the stage table existed, with the forward outputs and
+    final state of three steps recorded by that same code."""
+
+    SPEC = NetworkSpec(height=16, width=16, n_channels=4, n_encoders=2,
+                       potential_assisted=True, amp_enabled=True)
+
+    def test_tensor_names_and_values(self):
+        saved, meta = checkpoint.load_tensors(FIXTURES / "pa_evsnn_amp_16x16_seed3.spkt")
+        assert NetworkSpec(**meta["spec"]) == self.SPEC
+        fresh = Network(self.SPEC, seed=3).named_tensors()
+        assert list(fresh) == list(saved)
+        for name, value in fresh.items():
+            np.testing.assert_array_equal(value, saved[name], err_msg=name)
+
+    def test_forward_outputs(self):
+        loaded = Network.load(FIXTURES / "pa_evsnn_amp_16x16_seed3.spkt")
+        fresh = Network(self.SPEC, seed=3)
+        recorded, _ = checkpoint.load_tensors(FIXTURES / "pa_evsnn_amp_16x16_seed3_outputs.spkt")
+        rng = np.random.default_rng(3)
+        for k in range(3):
+            x = rng.standard_normal((16, 16))
+            out = loaded.forward_step(x).data
+            np.testing.assert_array_equal(out, recorded[f"step{k}"])
+            np.testing.assert_array_equal(fresh.forward_step(x).data, out)
+        for lid, value in loaded.get_state().items():
+            np.testing.assert_array_equal(value, recorded[f"state.{lid}"], err_msg=lid)
 
 
 class TestFoldBatchNorm:

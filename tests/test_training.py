@@ -114,6 +114,29 @@ class TestTotalLoss:
         with pytest.raises(ShapeError):
             total_loss([Tensor(np.zeros((16, 16)))], [], [], TrainConfig())
 
+    def test_first_step_has_no_predecessor(self):
+        # with l0=0 the first step has nothing to be consistent with
+        rng = np.random.default_rng(120)
+        preds = [Tensor(rng.random((16, 16))) for _ in range(3)]
+        gts = [rng.random((16, 16)) for _ in range(3)]
+        flows = [(0, 0)] * 3
+        l0_zero = total_loss(preds, gts, flows, TrainConfig(l0=0, lambda_tc=1.0))
+        l0_one = total_loss(preds, gts, flows, TrainConfig(l0=1, lambda_tc=1.0))
+        assert l0_zero.item() == l0_one.item()
+
+    def test_segment_reaches_back_to_previous_tail(self):
+        rng = np.random.default_rng(121)
+        prev, cur = Tensor(rng.random((16, 16))), Tensor(rng.random((16, 16)))
+        gt = rng.random((16, 16))
+        cfg = TrainConfig(l0=2, lambda_tc=0.5)
+        expected = (reconstruction_loss(cur, gt)
+                    + 0.5 * temporal_consistency_loss(cur, prev, (1, 0))).item()
+        got = total_loss([cur], [gt], [(1, 0)], cfg, prev_pred=prev, step0=2).item()
+        assert got == expected
+        # before l0 the tail is ignored
+        early = total_loss([cur], [gt], [(1, 0)], cfg, prev_pred=prev, step0=1).item()
+        assert early == reconstruction_loss(cur, gt).item()
+
 
 class TestSceneToBins:
     def test_alignment(self):
