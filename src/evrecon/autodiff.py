@@ -354,40 +354,111 @@ def _col2im(gcols, x_shape, k, stride, padding, h_out, w_out):
     return gx
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Cross-correlation of x (N,C_in,H,W) with weight (C_out,C_in,k,k)."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D operands, got {x.shape}, {weight.shape}")
-    c_out, c_in, k, k2 = weight.shape
-    if k != k2:
-        raise ShapeError("conv2d expects square kernels")
-    if x.shape[1] != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]} vs kernel {c_in}")
-    if stride < 1:
-        raise ShapeError("conv2d stride must be >= 1")
-    if x.shape[2] + 2 * padding < k or x.shape[3] + 2 * padding < k:
-        raise ShapeError("conv2d input smaller than kernel")
-
+def _conv(x, w, stride, padding):
+    """im2col + GEMM cross-correlation of arrays x (N,C_in,H,W) and
+    w (C_out,C_in,k,k); returns the output and its backward g -> (gx, gw)."""
     n = x.shape[0]
-    cols, h_out, w_out = _im2col(x.data, k, stride, padding)
-    wmat = weight.data.reshape(c_out, c_in * k * k)
+    c_out, c_in, k, _ = w.shape
+    cols, h_out, w_out = _im2col(x, k, stride, padding)
+    wmat = w.reshape(c_out, c_in * k * k)
     out = (cols @ wmat.T).transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
 
     def bw(g):
         gflat = g.reshape(n, c_out, h_out * w_out).transpose(0, 2, 1)
-        gw = np.einsum("nlo,nlc->oc", gflat, cols).reshape(weight.shape)
+        gw = np.einsum("nlo,nlc->oc", gflat, cols).reshape(w.shape)
         gcols = gflat @ wmat
-        gx = _col2im(gcols, x.data.shape, k, stride, padding, h_out, w_out)
+        gx = _col2im(gcols, x.shape, k, stride, padding, h_out, w_out)
         return gx, gw
 
-    out_t = make_op(out, (x, weight), bw)
+    return out, bw
+
+
+def _conv_operands(op, x, weight, bias):
+    """Check conv operands; returns x, weight and bias as Tensors."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    if x.ndim != 4 or weight.ndim != 4:
+        raise ShapeError(f"{op} expects 4-D operands, got {x.shape}, {weight.shape}")
+    c_out, c_in, k, k2 = weight.shape
+    if k != k2:
+        raise ShapeError(f"{op} expects square kernels")
+    if x.shape[1] != c_in:
+        raise ShapeError(f"{op} channel mismatch: input {x.shape[1]} vs kernel {c_in}")
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
-            raise ShapeError(f"conv2d bias shape {bias.shape} != ({c_out},)")
-        out_t = add(out_t, reshape(bias, (1, c_out, 1, 1)))
-    return out_t
+            raise ShapeError(f"{op} bias shape {bias.shape} != ({c_out},)")
+    return x, weight, bias
+
+
+def _add_channel_bias(out, bias):
+    if bias is None:
+        return out
+    return add(out, reshape(bias, (1, bias.shape[0], 1, 1)))
+
+
+def conv2d(x, weight, bias=None, stride=1, padding=0):
+    """Cross-correlation of x (N,C_in,H,W) with weight (C_out,C_in,k,k)."""
+    x, weight, bias = _conv_operands("conv2d", x, weight, bias)
+    k = weight.shape[2]
+    if stride < 1:
+        raise ShapeError("conv2d stride must be >= 1")
+    if x.shape[2] + 2 * padding < k or x.shape[3] + 2 * padding < k:
+        raise ShapeError("conv2d input smaller than kernel")
+    out, bw = _conv(x.data, weight.data, stride, padding)
+    return _add_channel_bias(make_op(out, (x, weight), bw), bias)
+
+
+def _phase_fold(k):
+    """The 0/1 matrix F (k*k, 4*k'*k') and padding p of the phase fold.
+
+    On the 2x nearest-upsampled grid, output row 2i+a (phase a) reads tap
+    dy in [-r, r] (r = k//2) from input row i + floor((a + dy) / 2), an
+    offset in [-p, p] with p = ceil(r/2), k' = 2p+1. Column
+    ((2a+b)*k' + my)*k' + mx of F sums the k x k taps that phase (a, b)
+    reads at input offset (my-p, mx-p).
+    """
+    r = k // 2
+    p = (r + 1) // 2
+    kp = 2 * p + 1
+    taps = np.arange(-r, r + 1)
+    # fold1[a, t, m] = 1 when tap t of phase a reads input offset m - p
+    fold1 = (((np.arange(2)[:, None] + taps) // 2)[:, :, None]
+             == np.arange(-p, p + 1)).astype(np.float64)
+    f = np.einsum("aym,bxn->yxabmn", fold1, fold1)
+    return f.reshape(k * k, 4 * kp * kp), p
+
+
+def upsample2x_conv2d(x, weight, bias=None):
+    """conv2d(upsample_nearest2x(x), weight, bias, padding=k//2) for odd k,
+    computed without building the upsampled input.
+
+    The k x k kernel folds into four k' x k' phase kernels (one per output
+    pixel of each 2x2 block, see `_phase_fold`), which run as one
+    (4*C_out)-channel stride-1 conv on the input grid; a depth-to-space
+    shuffle interleaves the phases.
+    """
+    x, weight, bias = _conv_operands("upsample2x_conv2d", x, weight, bias)
+    c_out, c_in, k, _ = weight.shape
+    if k % 2 == 0:
+        raise ShapeError(f"upsample2x_conv2d expects an odd kernel, got {k}")
+    n, _, h, w = x.shape
+    fold, p = _phase_fold(k)
+    kp = 2 * p + 1
+    w4 = (weight.data.reshape(c_out * c_in, k * k) @ fold).reshape(c_out, c_in, 4, kp, kp)
+    w4 = w4.transpose(0, 2, 1, 3, 4).reshape(4 * c_out, c_in, kp, kp)
+    out4, conv_bw = _conv(x.data, w4, 1, p)
+    out = (out4.reshape(n, c_out, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3)
+           .reshape(n, c_out, 2 * h, 2 * w))
+
+    def bw(g):
+        g4 = (g.reshape(n, c_out, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4)
+              .reshape(n, 4 * c_out, h, w))
+        gx, gw4 = conv_bw(g4)
+        gw4 = gw4.reshape(c_out, 4, c_in, kp * kp).transpose(0, 2, 1, 3)
+        gw = gw4.reshape(c_out * c_in, 4 * kp * kp) @ fold.T
+        return gx, gw.reshape(weight.shape)
+
+    return _add_channel_bias(make_op(out, (x, weight), bw), bias)
 
 
 def depthwise_conv3x3(x, weight, bias=None):

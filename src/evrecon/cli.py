@@ -282,6 +282,8 @@ def cmd_gradcheck(args):
     xin = rng.standard_normal((1, 2, 5, 5))
     check("conv_sigmoid", lambda t: ad.sigmoid(ad.conv2d(t, ad.Tensor(w), padding=1)).sum(), xin)
     check("upsample", lambda t: (ad.upsample_nearest2x(t) ** 2.0).sum(), xin)
+    w5 = ad.Tensor(rng.standard_normal((2, 2, 5, 5)) * 0.3)
+    check("upsample_conv", lambda t: (ad.upsample2x_conv2d(t, w5) ** 2.0).sum(), xin)
 
     # all-MP toy chain (smooth end to end)
     def mp_chain(t):

@@ -2,6 +2,7 @@
 from a JSON object to a config dataclass."""
 
 import dataclasses
+import numbers
 
 
 class EvreconError(Exception):
@@ -56,3 +57,23 @@ def config_from_dict(cls, data, source):
     if missing:
         raise ConfigError(f"{source}: missing {cls.__name__} key(s): {', '.join(missing)}")
     return cls(**data)
+
+
+def check_field_types(config):
+    """Raise ConfigError naming the first field of the dataclass `config`
+    whose value is not of its declared type (int, float, bool or str).
+
+    A float field also takes an integer; a bool is neither an int nor a
+    float, even though Python counts it as one.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type is float:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        elif f.type is int:
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, f.type)
+        if not ok:
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be "
+                              f"{f.type.__name__}, got {value!r}")

@@ -181,6 +181,11 @@ def encode_voxel_grid(window, n_bins):
     x = np.array([ev.x for ev in window.events], dtype=np.intp)
     y = np.array([ev.y for ev in window.events], dtype=np.intp)
     p = np.array([ev.p for ev in window.events], dtype=np.float64)
+    outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ParseError(f"event {i} at (x, y) = ({x[i]}, {y[i]}) lies outside "
+                         f"the {h}x{w} sensor")
 
     span = window.t1 - window.t0
     if span > 0 and n_bins > 1:

@@ -16,6 +16,12 @@ variant (PA-EVSNN) differs only in the table's `potential` flag: every
 encoder and decoder stage gets an MP (or adaptive-tau AMP) neuron; encoder
 potentials ride the skip connections and decoder potentials ride the
 backbone into the next stage.
+
+A decoder's nearest 2x upsample and conv run as one `ad.upsample2x_conv2d`,
+which computes on the low-resolution grid through a phase fold of the
+kernel. The energy model still prices a decoder as a conv on the upsampled
+grid (`layer_geometry`), the paper's convention: what is computed and what
+is counted are kept apart on purpose.
 """
 
 import json
@@ -26,7 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ParseError, ShapeError, config_from_dict
+from .errors import (ConfigError, ContractError, ParseError, ShapeError, check_field_types,
+                     config_from_dict)
 from .neurons import MPLayer, NeuronConfig, SpikingLayer
 
 SKIP_KINDS = ("ADD", "OR", "IAND", "CONCAT")
@@ -53,6 +60,12 @@ class NetworkSpec:
     prediction_kernel: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
+        for name in ("head_kernel", "encoder_kernel", "residual_kernel",
+                     "decoder_kernel", "prediction_kernel"):
+            k = getattr(self, name)
+            if k < 1 or k % 2 == 0:
+                raise ConfigError(f"NetworkSpec.{name} must be odd and positive, got {k}")
         if self.skip_kind not in SKIP_KINDS:
             raise ConfigError(f"unknown skip kind {self.skip_kind!r}")
         if self.neuron_kind not in ("IF", "LIF", "PLIF"):
@@ -170,7 +183,8 @@ def layer_geometry(spec):
 
 
 class ConvStage:
-    """Conv (optionally preceded by nearest 2x upsample) + batch norm."""
+    """Conv (optionally preceded by nearest 2x upsample, fused into the
+    conv) + batch norm."""
 
     def __init__(self, name, cin, cout, k, stride, rng, upsample=False, bn=True):
         self.name = name
@@ -190,8 +204,9 @@ class ConvStage:
 
     def forward(self, x, training):
         if self.upsample:
-            x = ad.upsample_nearest2x(x)
-        u = ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+            u = ad.upsample2x_conv2d(x, self.w, self.b)
+        else:
+            u = ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
         if self.has_bn:
             u = ad.batch_norm2d(u, self.gamma, self.beta,
                                 self.running_mean, self.running_var, training)

@@ -6,6 +6,9 @@ import numpy as np
 from .errors import ShapeError
 
 
+SSIM_WINDOW = 11  # side of the Gaussian SSIM window, in pixels
+
+
 def histogram_normalize(img):
     """Robust rescale to [0, 1]: the 1st/99th percentiles map to 0/1 and
     everything outside is clamped. A constant image maps to all 0.5."""
@@ -38,7 +41,7 @@ def _local_stats(img, window):
     return np.einsum("ijkl,kl->ij", win, window)
 
 
-def ssim(a, b, window_size=11, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
+def ssim(a, b, window_size=SSIM_WINDOW, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
     """Structural similarity with Gaussian-weighted local statistics,
     averaged over all valid window positions."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import quality
 from .autodiff import Tensor
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError, check_field_types
 from .events import EventWindow, encode_voxel_grid, normalize_nonzero, slice_temporal_bins
 from .synthetic import generate_events
 
@@ -33,6 +33,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lr", "epochs", "batch", "loss_every", "seq_len", "bins_per_window"):
             if getattr(self, name) <= 0 and name != "lr":
                 raise ConfigError(f"{name} must be positive")
@@ -61,7 +62,7 @@ def _diff_histogram_normalize(pred):
     return ad.clip((pred - p1) * (1.0 / (p99 - p1)), 0.0, 1.0)
 
 
-def _diff_ssim(a, b, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
+def _diff_ssim(a, b, window_size=quality.SSIM_WINDOW, sigma=1.5, k1=0.01, k2=0.03):
     win = Tensor(quality.gaussian_window(window_size, sigma)[None, None])
 
     def stats(x):
@@ -230,10 +231,9 @@ def _segment_metrics(preds, gts):
         p = quality.histogram_normalize(pred[0, 0])
         g = gt[0, 0] if gt.ndim == 4 else gt
         mses.append(quality.mse(p, g))
-        try:
-            ssims.append(quality.ssim(p, g))
-        except Exception:
-            ssims.append(float("nan"))
+        # SSIM is undefined on an image smaller than its window
+        ssims.append(quality.ssim(p, g) if min(p.shape) >= quality.SSIM_WINDOW
+                     else float("nan"))
     return float(np.mean(mses)), float(np.mean(ssims))
 
 

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,46 @@ class TestConv2d:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             ad.conv2d(Tensor(rand(1, 2, 4, 4)), Tensor(rand(1, 3, 3, 3)))
+
+
+def max_rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestUpsample2xConv2d:
+    """The phase-folded decoder conv against its oracle: upsample_nearest2x
+    followed by conv2d with padding k//2."""
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_matches_upsample_then_conv(self, k, with_bias):
+        rng = np.random.default_rng(100 + k)
+        x = rng.standard_normal((2, 3, 4, 6))
+        w = rng.standard_normal((5, 3, k, k))
+        b = rng.standard_normal(5) if with_bias else None
+        g = rng.standard_normal((2, 5, 8, 12))
+
+        def run(op):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            bt = None if b is None else Tensor(b, requires_grad=True)
+            out = op(xt, wt, bt)
+            (out * g).sum().backward()
+            return [out.data, xt.grad, wt.grad] + ([] if bt is None else [bt.grad])
+
+        fused = run(ad.upsample2x_conv2d)
+        oracle = run(lambda xt, wt, bt: ad.conv2d(ad.upsample_nearest2x(xt), wt, bt,
+                                                  padding=k // 2))
+        assert fused[0].shape == (2, 5, 8, 12)
+        for got, want in zip(fused, oracle):
+            assert max_rel_err(got, want) < 1e-12
+
+    def test_even_kernel_raises(self):
+        with pytest.raises(ShapeError):
+            ad.upsample2x_conv2d(Tensor(rand(1, 2, 3, 3)), Tensor(rand(1, 2, 4, 4)))
+
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            ad.upsample2x_conv2d(Tensor(rand(1, 2, 3, 3)), Tensor(rand(1, 3, 5, 5)))
 
 
 class TestLinear:
@@ -224,6 +266,18 @@ class TestFiniteDifference:
         err = ad.finite_difference_check(f, Tensor(rng.standard_normal((1, 2, 5, 5))))
         assert err < 1e-4
 
+    def test_upsample2x_conv2d(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)))
+        w = Tensor(rng.standard_normal((2, 2, 5, 5)) * 0.3)
+        assert ad.finite_difference_check(
+            lambda t: (ad.upsample2x_conv2d(t, w) ** 2.0).sum(), x) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.upsample2x_conv2d(x, t) ** 2.0).sum(), w) < 1e-4
+
+    # inputs stay clear of each case's kinks by more than twice the FD step
+    KINKS = {"abs_smooth": (0.0,), "maximum": (0.1,), "clip": (-0.45, 0.45)}
+
     @pytest.mark.parametrize("name,f,shape", [
         ("mul", lambda t: (t * t * 0.5).sum(), (4,)),
         ("div", lambda t: (1.0 / (t * t + 2.0)).sum(), (4,)),
@@ -236,8 +290,10 @@ class TestFiniteDifference:
         ("clip", lambda t: ad.clip(t * 2.0, -0.9, 0.9).sum(), (4,)),
     ])
     def test_primitive_fd(self, name, f, shape):
-        rng = np.random.default_rng(abs(hash(name)) % 2 ** 31)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = rng.standard_normal(shape) * 0.3 + 0.05
+        for kink in self.KINKS.get(name, ()):
+            assert np.abs(x - kink).min() > 2e-3, f"input within 2e-3 of the kink at {kink}"
         assert ad.finite_difference_check(f, Tensor(x)) < 1e-4
 
 

@@ -179,6 +179,13 @@ class TestProfile:
         assert main(["profile", "--spec", str(spec)]) == 1
         assert "chanels" in capsys.readouterr().err
 
+    def test_wrong_spec_type_is_an_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": "16"}))
+        assert main(["profile", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "width" in err
+
     def test_unknown_operating_point(self, capsys):
         assert main(["profile", "--paper-rates", "nope"]) == 1
         assert "operating point" in capsys.readouterr().err
@@ -203,3 +210,4 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "lif_3step_surrogate" in out
+        assert "upsample_conv" in out

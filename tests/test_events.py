@@ -159,6 +159,15 @@ class TestVoxelGrid:
         np.testing.assert_allclose(grid.data, brute_force_voxel(w, n_bins),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("x,y", [(5, 0), (-1, 0), (4, 1), (0, 2), (3, -1)])
+    def test_out_of_range_coordinates_rejected(self, x, y):
+        # a 2x4 sensor: without the check (5, 0) landed on pixel (1, 1)
+        # and x=-1 wrapped round to the other end of the row
+        events = make_events([0.1, 0.2], x=3, y=1) + [Event(t=0.3, x=x, y=y, p=1)]
+        w = EventWindow(events, 0.0, 1.0, 2, 4)
+        with pytest.raises(ParseError, match=rf"event 2 at \(x, y\) = \({x}, {y}\).*2x4"):
+            encode_voxel_grid(w, 3)
+
     def test_slice_temporal_bins(self):
         w = EventWindow(make_events([0.1]), 0.0, 1.0, 3, 3)
         grid = encode_voxel_grid(w, 4)

@@ -86,6 +86,23 @@ class TestSpec:
         with pytest.raises(ConfigError):
             tiny_spec(amp_enabled=True, potential_assisted=False)
 
+    @pytest.mark.parametrize("field,value", [
+        ("width", "16"), ("n_channels", True), ("n_encoders", 2.0), ("tau", "2"),
+        ("skip_kind", 1), ("potential_assisted", 1), ("decoder_kernel", 5.0)])
+    def test_wrong_type_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_spec(**{field: value})
+
+    @pytest.mark.parametrize("k", [4, 0, -1])
+    @pytest.mark.parametrize("field", ["head_kernel", "encoder_kernel", "residual_kernel",
+                                       "decoder_kernel", "prediction_kernel"])
+    def test_even_or_nonpositive_kernel_names_field(self, field, k):
+        with pytest.raises(ConfigError, match=field):
+            tiny_spec(**{field: k})
+
+    def test_int_accepted_for_float_fields(self):
+        assert tiny_spec(tau=2, v_th=1).tau == 2
+
 
 class TestGeometry:
     def test_encoder_channel_doubling(self):

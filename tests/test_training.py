@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from evrecon import training
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
 from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import random_scene
-from evrecon.training import (TrainConfig, evaluate_reconstruction,
+from evrecon.training import (TrainConfig, _segment_metrics, evaluate_reconstruction,
                               reconstruction_loss, scene_to_bins,
                               temporal_consistency_loss, total_loss, train,
                               write_metrics_csv)
@@ -28,6 +29,13 @@ class TestConfig:
             TrainConfig(lr=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(lambda_tc=-1.0)
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "3"), ("lr", "0.1"), ("batch", 1.5), ("seed", None), ("l0", True)])
+    def test_wrong_type_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestReconstructionLoss:
@@ -136,6 +144,27 @@ class TestTotalLoss:
         # before l0 the tail is ignored
         early = total_loss([cur], [gt], [(1, 0)], cfg, prev_pred=prev, step0=1).item()
         assert early == reconstruction_loss(cur, gt).item()
+
+
+class TestSegmentMetrics:
+    def test_ssim_finite_at_32x32(self):
+        rng = np.random.default_rng(7)
+        mse, ssim = _segment_metrics([rng.random((1, 1, 32, 32))], [rng.random((32, 32))])
+        assert np.isfinite(mse) and np.isfinite(ssim)
+
+    def test_ssim_nan_below_the_window(self):
+        rng = np.random.default_rng(8)
+        mse, ssim = _segment_metrics([rng.random((1, 1, 8, 8))], [rng.random((8, 8))])
+        assert np.isfinite(mse) and np.isnan(ssim)
+
+    def test_other_ssim_errors_propagate(self, monkeypatch):
+        def broken(a, b):
+            raise RuntimeError("ssim broke")
+
+        monkeypatch.setattr(training.quality, "ssim", broken)
+        rng = np.random.default_rng(9)
+        with pytest.raises(RuntimeError, match="ssim broke"):
+            _segment_metrics([rng.random((1, 1, 32, 32))], [rng.random((32, 32))])
 
 
 class TestSceneToBins:
