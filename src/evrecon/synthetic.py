@@ -3,6 +3,7 @@ crossings in log intensity, yielding an event stream plus per-step
 ground-truth frames and flow."""
 
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -89,5 +90,5 @@ def generate_events(scene):
                 records.append((t_prev + frac * scene.dt, int(x), int(y), sign))
         ref += np.sign(delta) * n_cross * c
     records.sort(key=lambda r: r[0])
-    events = [Event(t=t, x=x, y=y, p=p) for t, x, y, p in records]
+    events = list(starmap(Event, records))
     return events, frames, flows

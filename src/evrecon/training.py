@@ -148,15 +148,28 @@ def scene_to_bins(scene, n_bins=1):
 
 
 def _batched_data(scenes, cfg):
-    """Group per-scene step data into batches stacked along axis 0."""
+    """Group per-scene step data into batches stacked along axis 0.
+
+    The scenes of one batch share one flow per step, so they must have the
+    same size, step count and flows; ConfigError names the first that does
+    not.
+    """
     per_scene = [scene_to_bins(s, cfg.bins_per_window) for s in scenes]
-    steps = min(len(d[0]) for d in per_scene)
     batches = []
     for start in range(0, len(per_scene), cfg.batch):
         group = per_scene[start:start + cfg.batch]
-        bins = [np.stack([g[0][t] for g in group])[:, None] for t in range(steps)]
-        gts = [np.stack([g[1][t] for g in group])[:, None] for t in range(steps)]
-        flows = [group[0][2][t] for t in range(steps)]  # shared trajectory per batch
+        flows = group[0][2]
+        size = scenes[start].texture.shape
+        for index, (_, _, scene_flows) in enumerate(group[1:], start=start + 1):
+            if scenes[index].texture.shape != size:
+                raise ConfigError(f"scene {index} is {scenes[index].texture.shape}, but scene "
+                                  f"{start}, the first of its batch, is {size}")
+            if scene_flows != flows:
+                raise ConfigError(f"scene {index} ({len(scene_flows)} steps) moves differently "
+                                  f"from scene {start} ({len(flows)} steps), the first of its "
+                                  "batch; batched scenes must share a trajectory")
+        bins = [np.stack(planes)[:, None] for planes in zip(*(g[0] for g in group))]
+        gts = [np.stack(frames)[:, None] for frames in zip(*(g[1] for g in group))]
         batches.append((bins, gts, flows))
     return batches
 
@@ -165,7 +178,8 @@ def train(net, scenes, cfg, log_path=None, progress=None):
     """Truncated-BPTT training; returns the per-epoch metrics log.
 
     Batching stacks scenes along the batch axis, so scenes grouped into
-    one batch must share a trajectory (single-scene batches always work).
+    one batch must share a trajectory (single-scene batches always work);
+    each batch runs for its own step count.
     """
     batches = _batched_data(scenes, cfg)
     optimizer = ad.Adam(net.parameters(), lr=cfg.lr)

@@ -86,6 +86,15 @@ class TestVoxelize:
         assert rc == 1
         assert "window" in capsys.readouterr().err
 
+    def test_non_utf8_event_file_fails(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"# 4 4\n0.1 1 1 1\n0.2 1 1 \xe9\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "events.txt: line 3: not UTF-8" in err
+
 
 class TestTrain:
     def test_checkpoint_and_metrics(self, trained_dir):

@@ -1,14 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrecon.errors import ConfigError, OrderingError, ParseError
 from evrecon.events import (Event, EventWindow, encode_voxel_grid, load_events,
                             normalize_nonzero, parse_event_stream, save_events,
                             slice_temporal_bins, split_windows)
 
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
 
 def make_events(ts, x=0, y=0, p=1):
     return [Event(t=t, x=x, y=y, p=p) for t in ts]
+
+
+def oracle_parse_event_stream(stream):
+    """The per-line parser the bulk pass replaced, kept as its reference.
+
+    It has no header, finiteness or int64 checks, so on every stream the
+    bulk parser accepts the two must agree.
+    """
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    events = []
+    last_t = None
+    for lineno, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 fields 't x y p', got {len(fields)}", line=lineno)
+        try:
+            t = float(fields[0])
+            x = int(fields[1])
+            y = int(fields[2])
+            p_raw = int(fields[3])
+        except ValueError as exc:
+            raise ParseError(f"bad field value: {exc}", line=lineno) from None
+        if p_raw not in (0, 1, -1):
+            raise ParseError(f"polarity must be 0/1 (or -1), got {p_raw}", line=lineno)
+        if last_t is not None and t < last_t:
+            raise OrderingError(f"timestamp {t} decreases below {last_t}", line=lineno)
+        last_t = t
+        events.append(Event(t=t, x=x, y=y, p=1 if p_raw == 1 else -1))
+    return events
+
+
+def oracle_duration_windows(events, sensor_h, sensor_w, duration):
+    """The per-event loop `split_windows(duration=)` replaced, kept as its
+    reference."""
+    t_begin = events[0].t
+    t_end = events[-1].t
+    n_windows = max(1, int(np.ceil((t_end - t_begin) / duration)))
+    windows = []
+    idx = 0
+    for i in range(n_windows):
+        w0 = t_begin + i * duration
+        w1 = w0 + duration
+        chunk = []
+        while idx < len(events) and (events[idx].t < w1 or i == n_windows - 1):
+            chunk.append(events[idx])
+            idx += 1
+        if i == n_windows - 1:
+            w1 = max(w1, t_end)
+        windows.append(EventWindow(chunk, w0, w1, sensor_h, sensor_w))
+    return windows
 
 
 class TestParsing:
@@ -51,6 +113,202 @@ class TestParsing:
         assert len(loaded) == 2
         assert loaded[0].x == 3 and loaded[1].p == -1
         assert loaded[1].t == pytest.approx(0.25, abs=1e-9)
+
+
+    def test_event_is_a_named_tuple(self):
+        ev = Event(t=0.5, x=3, y=4, p=-1)
+        assert ev == Event(0.5, 3, 4, -1) and hash(ev) == hash(Event(0.5, 3, 4, -1))
+        assert ev != Event(t=0.5, x=3, y=4, p=1)
+        assert repr(ev) == "Event(t=0.5, x=3, y=4, p=-1)"
+        assert (ev.t, ev.x, ev.y, ev.p) == (0.5, 3, 4, -1)
+
+    @pytest.mark.parametrize("text,line,error", [
+        ("0.1 1 2 1\n# note\n\n0.2 1 2\n", 4, ParseError),             # field count
+        ("0.1 1 2 1 5\n", 1, ParseError),
+        ("0.1 1 2 1\n0.2 1.5 2 1\n", 2, ParseError),                   # bad int
+        ("0.1 1 2 1\n\n0.2x 1 2 1\n", 3, ParseError),                  # bad float
+        ("# c\n0.1 1 2 1\n0.2 1 2 3\n", 3, ParseError),                # polarity
+        ("0.1 1 2 1\r\n\r\n0.2 1 2 1\r\nnan 1 2 1\r\n", 4, ParseError),  # non-finite
+        ("0.3 1 2 1\n0.2 1 2 1 # late\n", 2, OrderingError),
+        ("# 2 4\n0.1 3 1 1\n0.2 4 1 1\n", 3, ParseError),              # outside header
+    ])
+    def test_rejections_name_the_file_line(self, text, line, error):
+        with pytest.raises(error) as exc:
+            parse_event_stream(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("text,line", [
+        ("0.1 1 2 1\n0.2 1 2 9\n0.3 1 2\n", 2),     # bad polarity before a bad field count
+        ("0.1 1 2\n0.2 1 2 9\n", 1),                # bad field count before a bad polarity
+        ("0.5 1 2 1\n0.4 1 2 9\n", 2),              # polarity and order on one line
+        ("0.5 1 2 1\n0.4 1 2 1\n0.6 1 2 9\n", 2),   # order before polarity
+    ])
+    def test_earliest_bad_line_is_reported(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_event_stream(text)
+        assert exc.value.line == line
+        with pytest.raises(ParseError) as ref:
+            oracle_parse_event_stream(text)
+        assert ref.value.line == line
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_timestamp_rejected(self, t):
+        # these parsed before, and split_windows then failed with a raw
+        # ValueError or OverflowError naming no line
+        with pytest.raises(ParseError, match=r"line 2: timestamp .* is not finite"):
+            parse_event_stream(f"0.1 1 2 1\n{t} 1 2 1\n")
+
+    @pytest.mark.parametrize("record", [
+        "1_0 1 2 1", "0.1 1_0 2 1",           # digit separators
+        "0.1 \u0661 2 1", "\u0661.5 1 2 1",    # non-ASCII digits
+        "0.1 99999999999999999999 2 1",       # beyond int64
+    ])
+    def test_grammar_narrower_than_python_numbers(self, record):
+        # Python's float()/int() accepted these; the file grammar does not
+        oracle_parse_event_stream([record])
+        with pytest.raises(ParseError) as exc:
+            parse_event_stream(["0.0 0 0 1", record])
+        assert exc.value.line == 2
+
+    def test_header_bounds_events(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_text("# 2 4\n0.1 3 1 1\n\n0.2 7 1 1\n")
+        with pytest.raises(ParseError, match=r"ev.txt: line 4: event at \(x, y\) = "
+                                             r"\(7, 1\) lies outside the 2x4 sensor") as exc:
+            load_events(path)
+        assert exc.value.line == 4
+        for x, y in [(-1, 0), (0, -1), (0, 2), (4, 0)]:
+            with pytest.raises(ParseError):
+                parse_event_stream(f"# 2 4\n0.1 {x} {y} 1\n")
+        events, sensor = load_events(self._write(tmp_path, "# 2 4\n0.1 3 1 0\n"))
+        assert sensor == (2, 4) and events == [Event(t=0.1, x=3, y=1, p=-1)]
+
+    def test_events_unchecked_without_header(self, tmp_path):
+        events, sensor = load_events(self._write(tmp_path, "# a comment\n0.1 700 9 1\n"))
+        assert sensor is None and events[0].x == 700
+
+    @pytest.mark.parametrize("header", ["# 0 4", "# 2 0", "# -2 4"])
+    def test_non_positive_header_rejected(self, tmp_path, header):
+        with pytest.raises(ParseError, match=r"line 2: sensor size must be positive"):
+            load_events(self._write(tmp_path, f"\n{header}\n0.1 0 0 1\n"))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_bytes(b"# 2 4\r\n0.1 1 1 1\r\n0.2 1 \xff 1\r\n")
+        with pytest.raises(ParseError, match=r"ev.txt: line 3: not UTF-8") as exc:
+            load_events(path)
+        assert exc.value.line == 3
+        with pytest.raises(ParseError) as exc:
+            parse_event_stream([b"0.1 1 1 1", b"0.2 \xc3 1 1"])
+        assert exc.value.line == 2
+
+    def test_file_line_numbers_count_every_line(self, tmp_path):
+        # CRLF endings, blank lines, comments, tabs: line 6 is the bad record
+        text = "# 4 4\r\n\r\n0.1\t1 2 1 # ok\r\n   \r\n# note\r\n0.05 1 2 1\r\n"
+        with pytest.raises(OrderingError) as exc:
+            load_events(self._write(tmp_path, text))
+        assert exc.value.line == 6
+
+    def test_generated_stream_equals_oracle(self, tmp_path):
+        # the benchmark's ingest format, at a size the per-line oracle reads quickly
+        rng = np.random.default_rng(1)
+        n = 20_000
+        t = np.sort(rng.random(n))
+        x, y, p = rng.integers(0, 240, n), rng.integers(0, 180, n), rng.integers(0, 2, n)
+        path = tmp_path / "ingest.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# 180 240\n")
+            fh.writelines(map("{:.9f} {} {} {}\n".format,
+                              t.tolist(), x.tolist(), y.tolist(), p.tolist()))
+        events, sensor = load_events(path)
+        assert sensor == (180, 240)
+        expected = oracle_parse_event_stream(path.read_text())
+        assert events == expected
+        assert all(type(a.t) is float and type(a.x) is int and type(a.p) is int
+                   for a in events[:100])
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "events.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+
+@st.composite
+def event_files(draw):
+    """Text in the save_events format, with comments, blank lines, tabs,
+    CRLF endings and an optional header that bounds the events."""
+    n = draw(st.integers(0, 25))
+    ts = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)))
+    lines = []
+    if n and draw(st.booleans()):
+        lines.append(f"# {draw(st.integers(10, 20))} {draw(st.integers(10, 20))}")
+    for t in ts:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        fields = [f"{t:.9f}", str(draw(st.integers(0, 9))), str(draw(st.integers(0, 9))),
+                  str(draw(st.sampled_from([0, 1])))]
+        line = draw(st.sampled_from(["", " ", "\t"])) + sep.join(fields)
+        line += draw(st.sampled_from(["", " ", "  # note", "#"]))
+        lines.append(line)
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# a comment", "\t#"]),
+                                   max_size=2)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+SMALL_FILE = (b"# 6 8\n# a comment\n0.100000000 1 2 1\n\n0.200000000\t5 3 0\r\n"
+              b"0.250000000 7 5 1 # x\n0.300000000 0 0 0\n")
+
+
+class TestParsingProperties:
+    @PROPERTY
+    @given(event_files())
+    def test_valid_streams_equal_oracle(self, text):
+        events = parse_event_stream(text)
+        assert events == oracle_parse_event_stream(text)
+        assert parse_event_stream(text.encode("utf-8")) == events
+
+    @pytest.fixture(scope="class")
+    def damaged_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("damaged") / "events.txt"
+
+    @PROPERTY
+    @given(st.one_of(
+        st.integers(0, len(SMALL_FILE)).map(lambda k: SMALL_FILE[:k]),
+        st.tuples(st.integers(0, len(SMALL_FILE) - 1), st.integers(0, 255)).map(
+            lambda kv: SMALL_FILE[:kv[0]] + bytes([kv[1]]) + SMALL_FILE[kv[0] + 1:])))
+    def test_damaged_file_loads_or_raises_parse_error(self, damaged_path, data):
+        damaged_path.write_bytes(data)
+        try:
+            events, _ = load_events(damaged_path)
+        except ParseError:
+            return
+        # whatever the bulk parser accepts, the per-line oracle read the same way
+        assert events == oracle_parse_event_stream(data)
+
+
+class TestWindowingProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_duration_split_matches_loop(self, data):
+        t_begin = data.draw(st.floats(-5.0, 5.0))
+        duration = data.draw(st.sampled_from([0.1, 0.01, 0.3, 1 / 3, 0.25])
+                             | st.floats(1e-3, 2.0))
+        n = data.draw(st.integers(1, 6))
+        # timestamps landing exactly on window edges, computed as split_windows does
+        edges = [t_begin + i * duration for i in range(n + 1)]
+        edges += [e + duration for e in edges]
+        ts = data.draw(st.lists(st.sampled_from(edges)
+                                | st.floats(t_begin, t_begin + n * duration), max_size=30))
+        events = make_events(sorted([t_begin] + ts))
+        windows = split_windows(events, 4, 4, duration=duration)
+        expected = oracle_duration_windows(events, 4, 4, duration)
+        assert len(windows) == len(expected)
+        for got, want in zip(windows, expected):
+            assert (got.t0, got.t1) == (want.t0, want.t1)
+            assert len(got.events) == len(want.events)
+            assert all(a is b for a, b in zip(got.events, want.events))
 
 
 class TestWindowing:

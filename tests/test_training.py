@@ -5,7 +5,7 @@ from evrecon import training
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
 from evrecon.model import Network, NetworkSpec
-from evrecon.synthetic import random_scene
+from evrecon.synthetic import SyntheticScene, random_scene
 from evrecon.training import (TrainConfig, _segment_metrics, evaluate_reconstruction,
                               reconstruction_loss, scene_to_bins,
                               temporal_consistency_loss, total_loss, train,
@@ -181,6 +181,42 @@ class TestSceneToBins:
         assert len(bins) == 3 * 3
         # all bins of one window share that window's ground truth
         assert np.array_equal(gts[0], gts[1]) and np.array_equal(gts[1], gts[2])
+
+
+class TestBatchedData:
+    @staticmethod
+    def scene(trajectory, seed=0, size=(8, 8)):
+        texture = np.random.default_rng(seed).random(size)
+        return SyntheticScene(texture=texture, trajectory=trajectory, contrast=0.1)
+
+    def test_scenes_sharing_a_trajectory_stack(self):
+        traj = [(0, 1), (1, 0), (1, 1)]
+        (batch,) = training._batched_data([self.scene(traj, 1), self.scene(traj, 2)],
+                                          TrainConfig(batch=2))
+        bins, gts, flows = batch
+        assert len(bins) == len(gts) == len(flows) == 3
+        assert bins[0].shape == (2, 1, 8, 8)
+        assert flows == traj
+
+    def test_each_batch_keeps_its_own_length(self):
+        # the shorter scene used to cut every batch to its length
+        batches = training._batched_data([self.scene([(0, 1)] * 2), self.scene([(1, 0)] * 5)],
+                                         TrainConfig(batch=1, bins_per_window=2))
+        assert [len(bins) for bins, _, _ in batches] == [4, 10]
+
+    @pytest.mark.parametrize("second", [[(0, 1), (0, 1)], [(0, 1), (1, 0), (0, 1)]])
+    def test_batch_of_differing_scenes_rejected(self, second):
+        # different flows: the batch used to warp every scene with scene 0's
+        # flows; different lengths: it was cut to the shortest scene
+        scenes = [self.scene([(0, 1), (1, 0)])] * 3 + [self.scene(second)]
+        with pytest.raises(ConfigError, match=r"scene 3 .*scene 2"):
+            training._batched_data(scenes, TrainConfig(batch=2))
+
+    def test_batch_of_differing_sizes_rejected(self):
+        # np.stack used to fail with a raw ValueError
+        scenes = [self.scene([(0, 1)]), self.scene([(0, 1)], size=(8, 10))]
+        with pytest.raises(ConfigError, match=r"scene 1 is \(8, 10\), but scene 0, .* is \(8, 8\)"):
+            training._batched_data(scenes, TrainConfig(batch=2))
 
 
 class TestTrainLoop:
