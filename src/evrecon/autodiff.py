@@ -9,6 +9,7 @@ reverse topological sweep, summing gradients across all uses.
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
@@ -459,6 +460,25 @@ def upsample2x_conv2d(x, weight, bias=None):
         return gx, gw.reshape(weight.shape)
 
     return _add_channel_bias(make_op(out, (x, weight), bw), bias)
+
+
+def separable_filter(x, taps):
+    """Valid cross-correlation of the last two axes of x with the constant
+    kernel np.outer(taps, taps), one pass per axis; the kernel gets no
+    gradient. The backward filters the output gradient, zero-padded by
+    len(taps) - 1 on each side, with the taps reversed."""
+    x, taps = as_tensor(x), np.asarray(taps, dtype=np.float64)
+    k = taps.size
+    if x.ndim < 2 or min(x.shape[-2:]) < k:
+        raise ShapeError(f"separable_filter input {x.shape} smaller than its {k} taps")
+
+    def filter_valid(a, taps):
+        rows = np.einsum("...hwk,k->...hw", sliding_window_view(a, k, axis=-2), taps)
+        return np.einsum("...hwk,k->...hw", sliding_window_view(rows, k, axis=-1), taps)
+
+    pad = [(0, 0)] * (x.ndim - 2) + [(k - 1, k - 1)] * 2
+    return make_op(filter_valid(x.data, taps), (x,),
+                   lambda g: (filter_valid(np.pad(g, pad), taps[::-1]),))
 
 
 def depthwise_conv3x3(x, weight, bias=None):

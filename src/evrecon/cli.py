@@ -169,7 +169,7 @@ def cmd_reconstruct(args):
     bins, _ = _events_to_bins(events, sensor, args)
     images = net.forward_sequence(bins)
     for i, img in enumerate(images):
-        write_pgm(out / f"recon_{i:04d}.pgm", quality.histogram_normalize(img))
+        write_pgm(out / f"recon_{i:04d}.pgm", quality.histogram_normalize(img).data)
     print(f"wrote {len(images)} reconstructions to {out}")
     return 0
 
@@ -202,12 +202,7 @@ def cmd_probe(args):
         if gt_frames:
             # events of window i reconstruct frame i+1
             gt = gt_frames[min(i + 1, len(gt_frames) - 1)]
-            p = quality.histogram_normalize(img)
-            row["mse"] = quality.mse(p, gt)
-            try:
-                row["ssim"] = quality.ssim(p, gt)
-            except EvreconError:
-                pass
+            row["mse"], row["ssim"] = quality.score(img, gt)
         rows.append(row)
     csv_path = out / "probe.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -315,6 +310,8 @@ def cmd_gradcheck(args):
                  abs(analytic - manual) < 1e-10))
 
     check("constant_loss", lambda t: (t * 0.0).sum(), rng.standard_normal(3), tol=1e-8)
+    gt = rng.random((12, 12))
+    check("ssim_loss", lambda t: 0.5 * (1.0 - quality.ssim(t, gt)), rng.random((12, 12)))
 
     ok = True
     print(f"{'check':<24}{'max_err':>12}{'tol':>10}  status")
@@ -413,6 +410,10 @@ def main(argv=None):
         return args.func(args)
     except EvreconError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a missing or unreadable input, an unwritable output
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

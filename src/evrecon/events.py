@@ -4,8 +4,9 @@ Event files are UTF-8 text with one "t x y p" record per line: a decimal
 timestamp in seconds, then the pixel column x, the pixel row y and the
 polarity as int64 decimal integers, separated by whitespace. '#' starts a
 comment, and blank lines are skipped. An optional leading "# H W" header
-declares the sensor size, and every event must then lie on it. Polarity
-is stored on disk as {0, 1}; 0 maps to -1 internally.
+declares the sensor size (each side 1 to 65535), and every event must
+then lie on it. Polarity is stored on disk as {0, 1}; 0 maps to -1
+internally.
 """
 
 import bisect
@@ -18,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, OrderingError, ParseError
+
+MAX_SENSOR_SIDE = 65535  # the largest side a 16-bit pixel address names
 
 
 class Event(NamedTuple):
@@ -116,6 +119,9 @@ def _sensor_size(lines):
             return None
         if h < 1 or w < 1:
             raise ParseError(f"sensor size must be positive, got {h} x {w}", line=lineno)
+        if max(h, w) > MAX_SENSOR_SIDE:
+            raise ParseError(f"sensor side must be at most {MAX_SENSOR_SIDE}, got {h} x {w}",
+                             line=lineno)
         return h, w
     return None
 

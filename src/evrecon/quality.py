@@ -1,22 +1,32 @@
-"""Image-quality metrics (MSE, Gaussian-windowed SSIM) and the robust
-histogram normalization applied before scoring."""
+"""Image quality, written once for the training loss and the metrics: the
+robust per-frame percentile rescale, MSE and Gaussian-windowed SSIM (Wang
+et al., IEEE TIP 2004). The rescale and SSIM are built from autodiff ops,
+so the loss differentiates them; `score` runs them under `no_grad`. A
+frame is the last two axes of an array."""
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ShapeError
 
-
 SSIM_WINDOW = 11  # side of the Gaussian SSIM window, in pixels
+# 1-D taps of the sigma-1.5 Gaussian; the window is np.outer(SSIM_TAPS, SSIM_TAPS)
+SSIM_TAPS = np.exp(-(np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2 / (2.0 * 1.5 ** 2))
+SSIM_TAPS /= SSIM_TAPS.sum()
+_C1, _C2 = 0.01 ** 2, 0.03 ** 2  # (k1 L)^2 and (k2 L)^2 for the data range L = 1
 
 
-def histogram_normalize(img):
-    """Robust rescale to [0, 1]: the 1st/99th percentiles map to 0/1 and
-    everything outside is clamped. A constant image maps to all 0.5."""
-    img = np.asarray(img, dtype=np.float64)
-    p1, p99 = np.percentile(img, [1, 99])
-    if p99 <= p1:
-        return np.full_like(img, 0.5)
-    return np.clip((img - p1) / (p99 - p1), 0.0, 1.0)
+def histogram_normalize(x):
+    """Robust per-frame rescale to [0, 1]: the frame's 1st/99th percentiles
+    map to 0/1 and everything outside is clamped. The percentiles are
+    constants for the gradient; a flat frame maps to 0.5 with a zero
+    gradient."""
+    x = ad.as_tensor(x)
+    p1, p99 = np.percentile(x.data, [1, 99], axis=tuple(range(x.ndim))[-2:], keepdims=True)
+    flat = p99 <= p1
+    with np.errstate(divide="ignore"):
+        scale = np.where(flat, 0.0, 1.0 / (p99 - p1))
+    return ad.clip((x - p1) * scale + 0.5 * flat, 0.0, 1.0)
 
 
 def mse(a, b):
@@ -27,36 +37,34 @@ def mse(a, b):
     return float(np.mean((a - b) ** 2))
 
 
-def gaussian_window(size=11, sigma=1.5):
-    """Normalized 2-D Gaussian window."""
-    ax = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
-
-
-def _local_stats(img, window):
-    k = window.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(img, (k, k))
-    return np.einsum("ijkl,kl->ij", win, window)
-
-
-def ssim(a, b, window_size=SSIM_WINDOW, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
+def ssim(a, b):
     """Structural similarity with Gaussian-weighted local statistics,
-    averaged over all valid window positions."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    averaged over every valid window position of every frame; a scalar
+    Tensor. A frame smaller than the window raises ShapeError."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
-    if min(a.shape) < window_size:
-        raise ShapeError(f"image {a.shape} smaller than the {window_size}-pixel window")
-    win = gaussian_window(window_size, sigma)
-    mu_a = _local_stats(a, win)
-    mu_b = _local_stats(b, win)
-    saa = _local_stats(a * a, win) - mu_a * mu_a
-    sbb = _local_stats(b * b, win) - mu_b * mu_b
-    sab = _local_stats(a * b, win) - mu_a * mu_b
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * sab + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (saa + sbb + c2)
-    return float(np.mean(num / den))
+
+    def local_mean(x):
+        return ad.separable_filter(x, SSIM_TAPS)
+
+    mu_a, mu_b = local_mean(a), local_mean(b)
+    saa = local_mean(a * a) - mu_a * mu_a
+    sbb = local_mean(b * b) - mu_b * mu_b
+    sab = local_mean(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + _C1) * (2.0 * sab + _C2)
+    den = (mu_a * mu_a + mu_b * mu_b + _C1) * (saa + sbb + _C2)
+    # as 1 - mean deficit, so that identical frames score exactly 1
+    return 1.0 - ((den - num) / den).mean()
+
+
+def score(pred, gt):
+    """(MSE, SSIM) of the histogram-normalized prediction against the
+    ground truth of the same shape, averaged over the frames. SSIM is NaN
+    for frames smaller than the SSIM window."""
+    with ad.no_grad():
+        p = histogram_normalize(pred).data
+        value = mse(p, gt)
+        if min(p.shape[-2:]) < SSIM_WINDOW:
+            return value, float("nan")
+        return value, ssim(p, gt).item()

@@ -53,40 +53,15 @@ def _as_batch(x):
     return t
 
 
-def _diff_histogram_normalize(pred):
-    """Percentile rescale with the percentiles treated as constants, so
-    the affine map stays differentiable."""
-    p1, p99 = np.percentile(pred.data, [1, 99])
-    if p99 <= p1:
-        return pred * 0.0 + 0.5
-    return ad.clip((pred - p1) * (1.0 / (p99 - p1)), 0.0, 1.0)
-
-
-def _diff_ssim(a, b, window_size=quality.SSIM_WINDOW, sigma=1.5, k1=0.01, k2=0.03):
-    win = Tensor(quality.gaussian_window(window_size, sigma)[None, None])
-
-    def stats(x):
-        return ad.conv2d(x, win)
-
-    mu_a, mu_b = stats(a), stats(b)
-    saa = stats(a * a) - mu_a * mu_a
-    sbb = stats(b * b) - mu_b * mu_b
-    sab = stats(a * b) - mu_a * mu_b
-    c1, c2 = k1 ** 2, k2 ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * sab + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (saa + sbb + c2)
-    return (num / den).mean()
-
-
 def reconstruction_loss(pred, gt):
     """L1 + 0.5 (1 - SSIM) between the histogram-normalized prediction and
     the ground-truth frame (already in [0, 1])."""
     pred, gt = _as_batch(pred), _as_batch(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
-    pred_n = _diff_histogram_normalize(pred)
+    pred_n = quality.histogram_normalize(pred)
     l1 = (pred_n - gt).abs().mean()
-    return l1 + 0.5 * (1.0 - _diff_ssim(pred_n, gt))
+    return l1 + 0.5 * (1.0 - quality.ssim(pred_n, gt))
 
 
 def temporal_consistency_loss(i_k, i_prev, flow, mask=None):
@@ -189,7 +164,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
         n_segments = 0
         spike_ones = 0.0
         spike_elems = 0
-        last_preds, last_gts = [], []
+        scores = []  # (mse, ssim) of every prediction of the epoch
         for bins, gts, flows in batches:
             net.train_mode(True)
             net.reset_state()
@@ -217,10 +192,9 @@ def train(net, scenes, cfg, log_path=None, progress=None):
                 prev_pred = preds[-1].detach()
                 epoch_loss += value
                 n_segments += 1
-                last_preds = [p.data for p in preds]
-                last_gts = gts[seg]
+                scores += [quality.score(p, g) for p, g in zip(preds, gts[seg])]
                 del loss, preds  # free this segment's graph before the next forward
-        mse_val, ssim_val = _segment_metrics(last_preds, last_gts)
+        mse_val, ssim_val = _mean_score(scores)
         record = {
             "epoch": epoch,
             "loss": epoch_loss / max(n_segments, 1),
@@ -237,18 +211,10 @@ def train(net, scenes, cfg, log_path=None, progress=None):
     return history
 
 
-def _segment_metrics(preds, gts):
-    if not preds:
-        return float("nan"), float("nan")
-    mses, ssims = [], []
-    for pred, gt in zip(preds, gts):
-        p = quality.histogram_normalize(pred[0, 0])
-        g = gt[0, 0] if gt.ndim == 4 else gt
-        mses.append(quality.mse(p, g))
-        # SSIM is undefined on an image smaller than its window
-        ssims.append(quality.ssim(p, g) if min(p.shape) >= quality.SSIM_WINDOW
-                     else float("nan"))
-    return float(np.mean(mses)), float(np.mean(ssims))
+def _mean_score(scores):
+    """Mean (mse, ssim) of per-prediction `quality.score`s; NaN for none."""
+    mse_val, ssim_val = np.mean(scores, axis=0) if scores else (np.nan, np.nan)
+    return float(mse_val), float(ssim_val)
 
 
 def write_metrics_csv(path, history):
@@ -260,12 +226,8 @@ def write_metrics_csv(path, history):
 
 
 def evaluate_reconstruction(net, bins, gts):
-    """Histogram-normalized MSE/SSIM of a full forward pass vs ground truth."""
-    images = net.forward_sequence(bins)
-    mses, ssims = [], []
-    for img, gt in zip(images, gts):
-        p = quality.histogram_normalize(img)
-        g = gt[0, 0] if np.asarray(gt).ndim == 4 else np.asarray(gt)
-        mses.append(quality.mse(p, g))
-        ssims.append(quality.ssim(p, g))
-    return float(np.mean(mses)), float(np.mean(ssims))
+    """Histogram-normalized MSE/SSIM of a full forward pass vs ground truth,
+    averaged over the frames (SSIM is NaN below the SSIM window)."""
+    images = net.forward_sequence(bins)  # (H, W): the first batch element
+    return _mean_score([quality.score(img, gt[0, 0] if np.ndim(gt) == 4 else gt)
+                        for img, gt in zip(images, gts)])

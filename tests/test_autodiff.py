@@ -242,6 +242,29 @@ class TestBackward:
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
+class TestSeparableFilter:
+    @pytest.mark.parametrize("shape,k", [((1, 1, 11, 11), 11), ((2, 1, 14, 20), 11),
+                                         ((3, 7), 3), ((2, 3, 5, 4), 1)])
+    def test_matches_conv2d(self, shape, k):
+        # the conv of the outer-product kernel, its oracle
+        rng = np.random.default_rng(k)
+        taps = rng.random(k)
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal(shape[:-2] + (shape[-2] - k + 1, shape[-1] - k + 1))
+        t = Tensor(x, requires_grad=True)
+        out = ad.separable_filter(t, taps)
+        (out * g).sum().backward()
+        x4 = Tensor(x.reshape((-1, 1) + shape[-2:]), requires_grad=True)
+        ref = ad.conv2d(x4, Tensor(np.outer(taps, taps)[None, None]))
+        (ref * g.reshape(ref.shape)).sum().backward()
+        np.testing.assert_allclose(out.data, ref.data.reshape(out.shape), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(t.grad, x4.grad.reshape(shape), rtol=1e-12, atol=1e-14)
+
+    def test_input_smaller_than_kernel(self):
+        with pytest.raises(ShapeError):
+            ad.separable_filter(Tensor(np.ones((4, 2))), np.ones(3))
+
+
 class TestFiniteDifference:
     def test_sum_of_squares(self):
         err = ad.finite_difference_check(lambda t: (t * t).sum(), Tensor(rand(5, seed=22)))
@@ -274,6 +297,13 @@ class TestFiniteDifference:
             lambda t: (ad.upsample2x_conv2d(t, w) ** 2.0).sum(), x) < 1e-4
         assert ad.finite_difference_check(
             lambda t: (ad.upsample2x_conv2d(x, t) ** 2.0).sum(), w) < 1e-4
+
+    def test_separable_filter(self):
+        rng = np.random.default_rng(27)
+        taps = rng.random(3)
+        assert ad.finite_difference_check(
+            lambda t: (ad.separable_filter(t, taps) ** 2.0).sum(),
+            Tensor(rng.standard_normal((2, 1, 5, 6)))) < 1e-4
 
     # inputs stay clear of each case's kinks by more than twice the FD step
     KINKS = {"abs_smooth": (0.0,), "maximum": (0.1,), "clip": (-0.45, 0.45)}

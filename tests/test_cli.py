@@ -95,6 +95,24 @@ class TestVoxelize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "events.txt: line 3: not UTF-8" in err
 
+    def test_missing_event_file_fails(self, tmp_path, capsys):
+        # a raw FileNotFoundError traceback before
+        missing = tmp_path / "missing.txt"
+        rc = main(["voxelize", "--events", str(missing), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_oversized_header_fails(self, tmp_path, capsys):
+        # voxelizing used to die in np.zeros with a raw ValueError
+        events = tmp_path / "events.txt"
+        events.write_text("# 99999999999 99999999999\n0.1 1 1 1\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "events.txt: line 1: sensor side" in err
+
 
 class TestTrain:
     def test_checkpoint_and_metrics(self, trained_dir):
@@ -148,6 +166,14 @@ class TestReconstruct:
         img = read_pgm(frames[0])
         assert img.shape == (16, 16)
         assert 0.0 <= img.min() and img.max() <= 1.0
+
+    def test_missing_checkpoint_fails(self, sim_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.spkt"
+        rc = main(["reconstruct", "--checkpoint", str(missing),
+                   "--events", str(sim_dir / "events.txt"),
+                   "--out", str(tmp_path), "--window-ms", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 class TestProbe:

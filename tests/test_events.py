@@ -193,6 +193,16 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"line 2: sensor size must be positive"):
             load_events(self._write(tmp_path, f"\n{header}\n0.1 0 0 1\n"))
 
+    @pytest.mark.parametrize("header", ["# 99999999999 99999999999", "# 65536 4", "# 4 65536"])
+    def test_oversized_header_rejected(self, tmp_path, header):
+        # such a header loaded, and voxelizing then died in np.zeros with a
+        # raw ValueError; 65535 is the largest side a 16-bit address names
+        with pytest.raises(ParseError,
+                           match=r"events.txt: line 2: sensor side must be at most 65535"):
+            load_events(self._write(tmp_path, f"\n{header}\n0.1 0 0 1\n"))
+        _, sensor = load_events(self._write(tmp_path, "# 65535 65535\n0.1 0 0 1\n"))
+        assert sensor == (65535, 65535)
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "ev.txt"
         path.write_bytes(b"# 2 4\r\n0.1 1 1 1\r\n0.2 1 \xff 1\r\n")

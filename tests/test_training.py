@@ -6,7 +6,8 @@ from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
 from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import SyntheticScene, random_scene
-from evrecon.training import (TrainConfig, _segment_metrics, evaluate_reconstruction,
+from evrecon.quality import score
+from evrecon.training import (TrainConfig, evaluate_reconstruction,
                               reconstruction_loss, scene_to_bins,
                               temporal_consistency_loss, total_loss, train,
                               write_metrics_csv)
@@ -147,14 +148,16 @@ class TestTotalLoss:
 
 
 class TestSegmentMetrics:
+    """`quality.score`, which scores every prediction of a training epoch."""
+
     def test_ssim_finite_at_32x32(self):
         rng = np.random.default_rng(7)
-        mse, ssim = _segment_metrics([rng.random((1, 1, 32, 32))], [rng.random((32, 32))])
+        mse, ssim = score(rng.random((1, 1, 32, 32)), rng.random((1, 1, 32, 32)))
         assert np.isfinite(mse) and np.isfinite(ssim)
 
     def test_ssim_nan_below_the_window(self):
         rng = np.random.default_rng(8)
-        mse, ssim = _segment_metrics([rng.random((1, 1, 8, 8))], [rng.random((8, 8))])
+        mse, ssim = score(rng.random((1, 1, 8, 8)), rng.random((1, 1, 8, 8)))
         assert np.isfinite(mse) and np.isnan(ssim)
 
     def test_other_ssim_errors_propagate(self, monkeypatch):
@@ -164,7 +167,7 @@ class TestSegmentMetrics:
         monkeypatch.setattr(training.quality, "ssim", broken)
         rng = np.random.default_rng(9)
         with pytest.raises(RuntimeError, match="ssim broke"):
-            _segment_metrics([rng.random((1, 1, 32, 32))], [rng.random((32, 32))])
+            score(rng.random((1, 1, 32, 32)), rng.random((1, 1, 32, 32)))
 
 
 class TestSceneToBins:
@@ -258,6 +261,27 @@ class TestTrainLoop:
         assert lines[0] == "epoch,loss,mse,ssim,spike_rate"
         assert len(lines) == 3
 
+    def test_epoch_metrics_score_every_prediction(self, monkeypatch):
+        # they used to score only the last segment of the last batch
+        scored = []
+
+        def counting_score(pred, gt):
+            scored.append((pred.shape, score(pred, gt)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(training.quality, "score", counting_score)
+        traj = [(0, 1), (1, 0), (1, 1), (0, 1), (1, 0)]
+        scenes = [SyntheticScene(texture=np.random.default_rng(s).random((16, 16)),
+                                 trajectory=traj, contrast=0.1) for s in (1, 2)]
+        history = train(tiny_net(), scenes, TrainConfig(batch=2, epochs=2, seq_len=5,
+                                                        loss_every=2))
+        assert len(scored) == 2 * 5  # five two-frame predictions per epoch
+        assert all(shape == (2, 1, 16, 16) for shape, _ in scored)
+        for epoch, record in enumerate(history):
+            mses, ssims = zip(*(s for _, s in scored[5 * epoch:5 * epoch + 5]))
+            assert record["mse"] == pytest.approx(np.mean(mses), rel=1e-15)
+            assert record["ssim"] == pytest.approx(np.mean(ssims), rel=1e-15)
+
     def test_progress_callback(self):
         scene = random_scene(16, 16, 6, np.random.default_rng(125), contrast=0.1)
         seen = []
@@ -279,3 +303,12 @@ class TestEvaluate:
         m, s = evaluate_reconstruction(tiny_net(), bins, gts)
         assert np.isfinite(m) and np.isfinite(s)
         assert 0.0 <= m <= 1.0 and -1.0 <= s <= 1.0
+
+    def test_ssim_nan_below_the_window(self):
+        # this raised ShapeError; the training record already gave NaN
+        scene = random_scene(8, 8, 4, np.random.default_rng(128), contrast=0.1)
+        bins, gts, _ = scene_to_bins(scene)
+        net = Network(NetworkSpec(height=8, width=8, n_channels=4, n_encoders=2,
+                                  n_residual=1), seed=0)
+        m, s = evaluate_reconstruction(net, bins, gts)
+        assert np.isfinite(m) and np.isnan(s)
