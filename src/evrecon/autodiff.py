@@ -328,47 +328,84 @@ def transpose(a):
 
 # -- convolution and friends -------------------------------------------------
 
-def _im2col(x, k, stride, padding):
-    n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = h + 2 * padding, w + 2 * padding
-    h_out = (hp - k) // stride + 1
-    w_out = (wp - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * k * k)
-    return np.ascontiguousarray(cols), h_out, w_out
+def _conv(x, w, stride, padding, need_x, need_w):
+    """Cross-correlation of arrays x (N,C_in,H,W) and w (C_out,C_in,k,k);
+    returns the output and its backward g -> (gx, gw), where a gradient
+    not needed is None. The backward keeps only the padded input.
 
+    Channel-first form: k*k strided slices of the padded input fill a
+    (N, C_in*k*k, H_out*W_out) column block, and one `wmat @ cols` GEMM
+    writes the NCHW output. The backward gathers the columns again.
 
-def _col2im(gcols, x_shape, k, stride, padding, h_out, w_out):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    gx = np.zeros((n, c, hp, wp))
-    g6 = gcols.reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + stride * h_out:stride,
-               j:j + stride * w_out:stride] += g6[..., i, j]
-    if padding:
-        gx = gx[:, :, padding:hp - padding, padding:wp - padding]
-    return gx
+    Output-shift form, for stride 1 with C_out < C_in (the prediction
+    conv): one GEMM of the (k*k*C_out, C_in) tap-major kernel with the
+    flattened padded input yields every tap's partial output at once; tap
+    (i, j) is then the row range shifted by i*W_p + j, and k*k shifted adds
+    sum them. One extra bottom row of padding keeps the last shifts inside
+    the buffer, and the W_p - W_out wrap-around columns are cropped.
+    """
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
+    taps = [(i, j) for i in range(k) for j in range(k)]
 
+    if stride == 1 and c_out < c_in:
+        flat = np.pad(x, ((0, 0), (0, 0), (padding, padding + 1), (padding, padding)))
+        flat = flat.reshape(n, c_in, (hp + 1) * wp)
+        wtap = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+        span = h_out * wp
+        parts = (wtap @ flat).reshape(n, k * k, c_out, (hp + 1) * wp)
+        full = np.zeros((n, c_out, span))
+        for t, (i, j) in enumerate(taps):
+            full += parts[:, t, :, i * wp + j:i * wp + j + span]
+        out = np.ascontiguousarray(full.reshape(n, c_out, h_out, wp)[..., :w_out])
 
-def _conv(x, w, stride, padding):
-    """im2col + GEMM cross-correlation of arrays x (N,C_in,H,W) and
-    w (C_out,C_in,k,k); returns the output and its backward g -> (gx, gw)."""
-    n = x.shape[0]
-    c_out, c_in, k, _ = w.shape
-    cols, h_out, w_out = _im2col(x, k, stride, padding)
+        def bw(g):
+            gfull = np.zeros((n, c_out, h_out, wp))
+            gfull[..., :w_out] = g
+            gfull = gfull.reshape(n, c_out, span)
+            gparts = np.zeros((n, k * k, c_out, (hp + 1) * wp))
+            for t, (i, j) in enumerate(taps):
+                gparts[:, t, :, i * wp + j:i * wp + j + span] = gfull
+            gparts = gparts.reshape(n, k * k * c_out, (hp + 1) * wp)
+            gx = gw = None
+            if need_x:
+                gx = (wtap.T @ gparts).reshape(n, c_in, hp + 1, wp)
+                gx = gx[:, :, padding:padding + h, padding:padding + wd]
+            if need_w:
+                gw = (gparts @ flat.transpose(0, 2, 1)).sum(0)
+                gw = gw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
+            return gx, gw
+
+        return out, bw
+
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     wmat = w.reshape(c_out, c_in * k * k)
-    out = (cols @ wmat.T).transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
+
+    def window(i, j):
+        return (slice(None), slice(None), slice(i, i + stride * h_out, stride),
+                slice(j, j + stride * w_out, stride))
+
+    def gather():
+        cols = np.empty((n, c_in, k, k, h_out, w_out))
+        for i, j in taps:
+            cols[:, :, i, j] = xp[window(i, j)]
+        return cols.reshape(n, c_in * k * k, h_out * w_out)
+
+    out = (wmat @ gather()).reshape(n, c_out, h_out, w_out)
 
     def bw(g):
-        gflat = g.reshape(n, c_out, h_out * w_out).transpose(0, 2, 1)
-        gw = np.einsum("nlo,nlc->oc", gflat, cols).reshape(w.shape)
-        gcols = gflat @ wmat
-        gx = _col2im(gcols, x.shape, k, stride, padding, h_out, w_out)
+        g = g.reshape(n, c_out, h_out * w_out)
+        gx = gw = None
+        if need_w:  # first, so that the gathered columns are freed before gcols exists
+            gw = (g @ gather().transpose(0, 2, 1)).sum(0).reshape(w.shape)
+        if need_x:
+            gcols = (wmat.T @ g).reshape(n, c_in, k, k, h_out, w_out)
+            gxp = np.zeros(xp.shape)
+            for i, j in taps:
+                gxp[window(i, j)] += gcols[:, :, i, j]
+            gx = gxp[:, :, padding:padding + h, padding:padding + wd]
         return gx, gw
 
     return out, bw
@@ -391,10 +428,14 @@ def _conv_operands(op, x, weight, bias):
     return x, weight, bias
 
 
-def _add_channel_bias(out, bias):
+def _conv_op(out, bw, x, weight, bias):
+    """Record a conv result `out` (written in place: the bias is added to
+    it) with backward `bw` (g -> (gx, gw)); the bias gradient is g summed
+    over (N, H, W)."""
     if bias is None:
-        return out
-    return add(out, reshape(bias, (1, bias.shape[0], 1, 1)))
+        return make_op(out, (x, weight), bw)
+    out += bias.data[:, None, None]
+    return make_op(out, (x, weight, bias), lambda g: bw(g) + (g.sum((0, 2, 3)),))
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -405,8 +446,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError("conv2d stride must be >= 1")
     if x.shape[2] + 2 * padding < k or x.shape[3] + 2 * padding < k:
         raise ShapeError("conv2d input smaller than kernel")
-    out, bw = _conv(x.data, weight.data, stride, padding)
-    return _add_channel_bias(make_op(out, (x, weight), bw), bias)
+    out, bw = _conv(x.data, weight.data, stride, padding,
+                    x.requires_grad, weight.requires_grad)
+    return _conv_op(out, bw, x, weight, bias)
 
 
 def _phase_fold(k):
@@ -447,7 +489,7 @@ def upsample2x_conv2d(x, weight, bias=None):
     kp = 2 * p + 1
     w4 = (weight.data.reshape(c_out * c_in, k * k) @ fold).reshape(c_out, c_in, 4, kp, kp)
     w4 = w4.transpose(0, 2, 1, 3, 4).reshape(4 * c_out, c_in, kp, kp)
-    out4, conv_bw = _conv(x.data, w4, 1, p)
+    out4, conv_bw = _conv(x.data, w4, 1, p, x.requires_grad, weight.requires_grad)
     out = (out4.reshape(n, c_out, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3)
            .reshape(n, c_out, 2 * h, 2 * w))
 
@@ -455,11 +497,13 @@ def upsample2x_conv2d(x, weight, bias=None):
         g4 = (g.reshape(n, c_out, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4)
               .reshape(n, 4 * c_out, h, w))
         gx, gw4 = conv_bw(g4)
+        if gw4 is None:
+            return gx, None
         gw4 = gw4.reshape(c_out, 4, c_in, kp * kp).transpose(0, 2, 1, 3)
         gw = gw4.reshape(c_out * c_in, 4 * kp * kp) @ fold.T
         return gx, gw.reshape(weight.shape)
 
-    return _add_channel_bias(make_op(out, (x, weight), bw), bias)
+    return _conv_op(out, bw, x, weight, bias)
 
 
 def separable_filter(x, taps):

@@ -85,10 +85,18 @@ def load_tensors(path):
             raise ParseError(f"{path}: unknown dtype tag {tag}")
         dtype = _DTYPE_TAGS[tag]
         raw = take(math.prod(dims) * dtype.itemsize, f"the data of tensor '{name}'")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        if name in tensors:
+            raise ParseError(f"{path}: tensor '{name}' appears twice")
+        try:
+            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # a zero-size payload with dims numpy cannot hold
+            raise ParseError(f"{path}: tensor '{name}' has dims {dims} ({exc})") from None
     meta = None
     if META_KEY in tensors:
-        raw = tensors.pop(META_KEY).astype(np.uint8).tobytes()
+        values = tensors.pop(META_KEY)
+        if not np.all((values >= 0) & (values <= 255) & (values == np.round(values))):
+            raise ParseError(f"{path}: tensor '{META_KEY}' holds a value that is not a byte")
+        raw = values.astype(np.uint8).tobytes()
         try:
             meta = json.loads(raw.decode("utf-8"))
         except ValueError as exc:

@@ -6,6 +6,7 @@ given --seed."""
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import energy as energy_mod
 from . import quality
-from .errors import ConfigError, EvreconError, config_from_dict
+from .errors import ConfigError, EvreconError, ParseError, config_from_dict
 from .events import (encode_voxel_grid, load_events, normalize_nonzero,
                      save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec
@@ -33,14 +34,28 @@ def write_pgm(path, img):
         fh.write(data.tobytes())
 
 
+_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def read_pgm(path):
+    """8-bit binary PGM (maxval 1-255) as floats in [0, 1], divided by its maxval."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ConfigError(f"{path}: not a binary PGM")
-    w, h = map(int, parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8, count=h * w).reshape(h, w) / 255.0
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ParseError(f"{path}: not a binary PGM (expected 'P5 <width> <height> <maxval>')")
+    w, h, maxval = map(int, header.groups())
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: PGM size {w}x{h} must be positive")
+    if not 1 <= maxval <= 255:
+        raise ParseError(f"{path}: PGM maxval {maxval} is not in 1-255 (only 8-bit samples are read)")
+    payload = raw[header.end():]
+    if len(payload) < h * w:
+        raise ParseError(f"{path}: PGM data holds {len(payload)} bytes, expected {h * w}")
+    img = np.frombuffer(payload, dtype=np.uint8, count=h * w).reshape(h, w)
+    if img.max() > maxval:
+        raise ParseError(f"{path}: PGM sample {img.max()} exceeds its maxval {maxval}")
+    return img / float(maxval)
 
 
 def _load_json(path):
@@ -312,6 +327,13 @@ def cmd_gradcheck(args):
     check("constant_loss", lambda t: (t * 0.0).sum(), rng.standard_normal(3), tol=1e-8)
     gt = rng.random((12, 12))
     check("ssim_loss", lambda t: 0.5 * (1.0 - quality.ssim(t, gt)), rng.random((12, 12)))
+    # both conv kernel forms; drawn last so the rows above keep their inputs
+    w2 = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4)
+    check("conv_stride2", lambda t: (ad.conv2d(t, w2, stride=2, padding=1) ** 2.0).sum(),
+          rng.standard_normal((1, 2, 5, 7)))
+    w_narrow = ad.Tensor(rng.standard_normal((1, 4, 3, 3)) * 0.4)
+    check("conv_narrow", lambda t: (ad.conv2d(t, w_narrow, padding=1) ** 2.0).sum(),
+          rng.standard_normal((1, 4, 5, 6)))
 
     ok = True
     print(f"{'check':<24}{'max_err':>12}{'tol':>10}  status")

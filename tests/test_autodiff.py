@@ -6,6 +6,7 @@ import pytest
 from evrecon import autodiff as ad
 from evrecon.autodiff import Tensor
 from evrecon.errors import ContractError, ShapeError
+from evrecon.model import NetworkSpec, stage_table
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -74,6 +75,156 @@ class TestConv2d:
 
 def max_rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _im2col(x, k, stride, padding):
+    n, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_out = (hp - k) // stride + 1
+    w_out = (wp - k) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, :, :]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, c * k * k)
+    return np.ascontiguousarray(cols), h_out, w_out
+
+
+def _col2im(gcols, x_shape, k, stride, padding, h_out, w_out):
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    gx = np.zeros((n, c, hp, wp))
+    g6 = gcols.reshape(n, h_out, w_out, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * h_out:stride,
+               j:j + stride * w_out:stride] += g6[..., i, j]
+    if padding:
+        gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+    return gx
+
+
+def oracle_conv(x, w, stride, padding, need_x=True, need_w=True):
+    """The im2col + GEMM kernel that `ad._conv` replaced: a row-major column
+    copy of the input, kept alive for the backward, and an einsum weight
+    gradient. It always returns both gradients."""
+    n = x.shape[0]
+    c_out, c_in, k, _ = w.shape
+    cols, h_out, w_out = _im2col(x, k, stride, padding)
+    wmat = w.reshape(c_out, c_in * k * k)
+    out = (cols @ wmat.T).transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
+
+    def bw(g):
+        gflat = g.reshape(n, c_out, h_out * w_out).transpose(0, 2, 1)
+        gw = np.einsum("nlo,nlc->oc", gflat, cols).reshape(w.shape)
+        gcols = gflat @ wmat
+        gx = _col2im(gcols, x.shape, k, stride, padding, h_out, w_out)
+        return gx, gw
+
+    return out, bw
+
+
+def _stage_conv_cases():
+    """(op, x shape, weight shape, stride) for every conv stage of the toy,
+    full-scale EVSNN and full-scale PA-EVSNN+AMP networks, deduplicated."""
+    specs = [NetworkSpec(height=32, width=32, n_channels=8, n_encoders=2, n_residual=1),
+             NetworkSpec(height=180, width=240),
+             NetworkSpec(height=180, width=240, potential_assisted=True, amp_enabled=True)]
+    cases = {}
+    for spec in specs:
+        for g in stage_table(spec):
+            scale = 2 if g.stride == 2 else (0.5 if g.upsample else 1)
+            x_shape = (1, g.cin, int(g.h_out * scale), int(g.w_out * scale))
+            op = "upsample2x_conv2d" if g.upsample else "conv2d"
+            case = (op, x_shape, (g.cout, g.cin, g.kernel, g.kernel), g.stride)
+            cases.setdefault(case, g.name)
+    return [pytest.param(*case, id=f"{name}-{case[1][2]}x{case[1][3]}")
+            for case, name in cases.items()]
+
+
+def _retained_bytes(fn, seen=None):
+    """Bytes of the distinct arrays a closure (and the closures it holds) keeps."""
+    seen = {} if seen is None else seen
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            seen[id(value)] = value.nbytes
+        elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
+            seen[id(value)] = 0
+            _retained_bytes(value, seen)
+    return sum(seen.values())
+
+
+class TestConvKernel:
+    """`ad._conv`'s channel-first and output-shift forms against the
+    im2col oracle, through the public ops."""
+
+    @staticmethod
+    def run(monkeypatch, kernel, op, x, w, b, g, **kw):
+        monkeypatch.setattr(ad, "_conv", kernel)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = getattr(ad, op)(xt, wt, bt, **kw)
+        (out * g).sum().backward()
+        return out.data, xt.grad, wt.grad, bt.grad
+
+    def check(self, monkeypatch, op, x_shape, w_shape, seed=0, **kw):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0])
+        with ad.no_grad():
+            out_shape = getattr(ad, op)(Tensor(x), Tensor(w), **kw).shape
+        g = rng.standard_normal(out_shape)
+        kernel = ad._conv
+        got = self.run(monkeypatch, kernel, op, x, w, b, g, **kw)
+        want = self.run(monkeypatch, oracle_conv, op, x, w, b, g, **kw)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            assert a.shape == e.shape, name
+            assert max_rel_err(a, e) < 1e-10, name
+
+    @pytest.mark.parametrize("op,x_shape,w_shape,stride", _stage_conv_cases())
+    def test_stage_shapes_match_oracle(self, monkeypatch, op, x_shape, w_shape, stride):
+        kw = {} if op == "upsample2x_conv2d" else {"stride": stride, "padding": w_shape[2] // 2}
+        self.check(monkeypatch, op, x_shape, w_shape, **kw)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((1, 3, 7, 9), (4, 3, 3, 3), 2, 1),     # odd input under stride 2
+        ((1, 3, 9, 7), (4, 3, 5, 5), 2, 0),     # odd input, stride 2, no padding
+        ((1, 3, 6, 5), (4, 3, 3, 3), 1, 0),     # padding 0
+        ((1, 5, 4, 6), (3, 5, 1, 1), 1, 0),     # k = 1, C_out < C_in
+        ((2, 4, 6, 5), (6, 4, 3, 3), 1, 1),     # batch 2
+        ((2, 6, 5, 7), (2, 6, 3, 3), 1, 1),     # batch 2, C_out < C_in
+        ((1, 8, 6, 6), (1, 8, 5, 5), 1, 0),     # C_out < C_in, padding 0
+        ((1, 4, 5, 5), (2, 4, 3, 3), 2, 1),     # C_out < C_in under stride 2
+    ])
+    def test_edge_cases_match_oracle(self, monkeypatch, x_shape, w_shape, stride, padding):
+        self.check(monkeypatch, "conv2d", x_shape, w_shape, stride=stride, padding=padding)
+
+    @pytest.mark.parametrize("w_shape,stride", [((4, 3, 3, 3), 2), ((2, 6, 3, 3), 1)])
+    def test_backward_keeps_only_the_padded_input(self, w_shape, stride):
+        x = rand(1, w_shape[1], 9, 8)
+        w = rand(*w_shape, seed=1)
+        _, bw = ad._conv(x, w, stride, 1, True, True)
+        padded = x.shape[0] * x.shape[1] * 12 * 10 * 8  # (H+2+1) x (W+2) at most
+        assert _retained_bytes(bw) <= padded + 2 * w.nbytes
+
+    def test_unneeded_gradients_are_skipped(self):
+        x, w = rand(1, 2, 5, 5), rand(3, 2, 3, 3, seed=1)
+        out, bw = ad._conv(x, w, 2, 1, False, True)
+        gx, gw = bw(np.ones(out.shape))
+        assert gx is None and gw.shape == w.shape
+        gx, gw = ad._conv(x, w, 1, 1, True, False)[1](np.ones((1, 3, 5, 5)))
+        assert gx.shape == x.shape and gw is None
+
+    @pytest.mark.parametrize("op", ["conv2d", "upsample2x_conv2d"])
+    def test_bias_is_part_of_the_op(self, op):
+        x = Tensor(rand(1, 2, 4, 4), requires_grad=True)
+        w, b = Tensor(rand(3, 2, 3, 3, seed=1)), Tensor(rand(3, seed=2))
+        kw = {"padding": 1} if op == "conv2d" else {}
+        out = getattr(ad, op)(x, w, b, **kw)
+        assert out._parents == (x, w, b)
+        plain = getattr(ad, op)(x, w, **kw)
+        np.testing.assert_array_equal(out.data, plain.data + b.data.reshape(1, 3, 1, 1))
 
 
 class TestUpsample2xConv2d:
@@ -288,6 +439,29 @@ class TestFiniteDifference:
 
         err = ad.finite_difference_check(f, Tensor(rng.standard_normal((1, 2, 5, 5))))
         assert err < 1e-4
+
+    def test_conv_stride2(self):
+        # the channel-first form, odd input under stride 2
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.standard_normal((1, 2, 5, 7)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4)
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(t, w, stride=2, padding=1) ** 2.0).sum(), x) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(x, t, stride=2, padding=1) ** 2.0).sum(), w) < 1e-4
+
+    def test_conv_output_shift(self):
+        # the output-shift form: stride 1, C_out < C_in
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.standard_normal((2, 4, 5, 6)))
+        w = Tensor(rng.standard_normal((1, 4, 3, 3)) * 0.4)
+        b = Tensor(rng.standard_normal(1))
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(t, w, b, padding=1) ** 2.0).sum(), x) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(x, t, b, padding=1) ** 2.0).sum(), w) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(x, w, t, padding=1) ** 2.0).sum(), b) < 1e-4
 
     def test_upsample2x_conv2d(self):
         rng = np.random.default_rng(26)

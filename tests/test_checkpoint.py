@@ -1,8 +1,26 @@
+import struct
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evrecon.checkpoint import load_tensors, save_tensors
+from evrecon.checkpoint import META_KEY, load_tensors, save_tensors
 from evrecon.errors import ParseError
+
+
+def spkt_bytes(*entries):
+    """A version-1 container holding (name, dims, f64 payload) entries,
+    written field by field so that headers can lie about their payload."""
+    out = [b"SPKT", struct.pack("<II", 1, len(entries))]
+    for name, dims, payload in entries:
+        raw = name.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", len(dims)),
+                struct.pack(f"<{len(dims)}Q", *dims), b"\x02", payload]
+    return b"".join(out)
 
 
 class TestRoundtrip:
@@ -95,3 +113,59 @@ class TestFormat:
         cut.write_bytes(good.read_bytes()[:6])
         with pytest.raises(ParseError, match="cut.spkt.*header"):
             load_tensors(cut)
+
+
+class TestCorruption:
+    def test_impossible_dims_name_the_tensor(self, tmp_path):
+        path = tmp_path / "bad.spkt"
+        path.write_bytes(spkt_bytes(("w", (0, 2 ** 63), b"")))
+        with pytest.raises(ParseError, match=r"bad.spkt.*'w'"):
+            load_tensors(path)
+
+    def test_repeated_name_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.spkt"
+        one = np.ones(2).tobytes()
+        path.write_bytes(spkt_bytes(("w", (2,), one), ("w", (2,), one)))
+        with pytest.raises(ParseError, match=r"bad.spkt.*'w'"):
+            load_tensors(path)
+
+    # 49.5 and 305.0 both wrap to 49, the digit "1" they replace
+    @pytest.mark.parametrize("value", [np.nan, 300.0, 305.0, 49.5, -1.0])
+    def test_metadata_value_outside_a_byte_is_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.spkt"
+        raw = np.frombuffer(b'{"k": 1}', dtype=np.uint8).astype(np.float32)
+        raw[6] = value
+        save_tensors(path, {META_KEY: raw})
+        with pytest.raises(ParseError, match=f"bad.spkt.*'{META_KEY}'"):
+            load_tensors(path)
+
+
+@lru_cache(maxsize=None)
+def good_container():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "good.spkt"
+        save_tensors(path, {"w": np.arange(6.0).reshape(2, 3), "s": np.array(1.5),
+                            "h": np.ones(3, dtype=np.float32)},
+                     {"spec": {"k": [1, 2]}, "name": "τ"})
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_overwritten_byte_or_cut_tail_is_a_parse_error_or_a_clean_load(data):
+    raw = bytearray(good_container())
+    if data.draw(st.booleans(), label="cut"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="end")]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] = data.draw(st.integers(0, 255), label="byte")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.spkt"
+        path.write_bytes(bytes(raw))
+        try:
+            tensors, _ = load_tensors(path)
+        except ParseError as exc:
+            assert str(path) in str(exc)
+            return
+    for arr in tensors.values():
+        assert isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)

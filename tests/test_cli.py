@@ -6,6 +6,7 @@ import pytest
 
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
+from evrecon.errors import ParseError
 from evrecon.model import Network
 
 
@@ -47,6 +48,27 @@ class TestPGM:
         path = tmp_path / "img.pgm"
         write_pgm(path, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(read_pgm(path), [[0.0, 1.0]])
+
+    def test_scales_by_the_files_maxval(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+        np.testing.assert_array_equal(read_pgm(path), [[0.0, 5 / 15, 1.0]])
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"P5\n4 4\n255\nab", id="payload-cut-short"),
+        pytest.param(b"P5\n4 x\n255\n" + bytes(16), id="non-integer-size"),
+        pytest.param(b"P5\n4 4\n", id="no-maxval"),
+        pytest.param(b"P5\n2 1\n65535\n" + bytes(4), id="16-bit-maxval"),
+        pytest.param(b"P5\n2 1\n0\n" + bytes(2), id="maxval-0"),
+        pytest.param(b"P5\n0 4\n255\n", id="empty-image"),
+        pytest.param(b"P5\n2 1\n15\n" + bytes([0, 16]), id="sample-above-maxval"),
+        pytest.param(b"P2\n2 1\n255\n0 0\n", id="plain-pgm"),
+    ])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="bad.pgm"):
+            read_pgm(path)
 
 
 class TestSimulate:
@@ -192,6 +214,19 @@ class TestProbe:
         for r in rows:
             assert 0.0 <= float(r["spike_rate"]) <= 1.0
 
+    def test_bad_ground_truth_frame_names_the_file(self, sim_dir, trained_dir,
+                                                   tmp_path, capsys):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        (gt / "gt_0000.pgm").write_bytes(b"P5\n4 4\n255\nab")
+        rc = main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                   "--events", str(sim_dir / "events.txt"), "--cutoff", "2",
+                   "--gt", str(gt), "--out", str(tmp_path), "--bins", "1",
+                   "--window-ms", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gt_0000.pgm" in err
+
 
 class TestProfile:
     def test_paper_rates_evsnn(self, capsys):
@@ -246,3 +281,4 @@ class TestGradcheck:
         assert "FAIL" not in out
         assert "lif_3step_surrogate" in out
         assert "upsample_conv" in out
+        assert "conv_stride2" in out and "conv_narrow" in out
