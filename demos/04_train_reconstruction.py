@@ -31,7 +31,7 @@ mse0, ssim0 = evaluate_reconstruction(net, bins[:40], gts[:40])
 # deceptively low MSE against a smooth texture - watch SSIM instead
 print(f"untrained:  MSE {mse0:.4f}  SSIM {ssim0:+.4f}")
 
-cfg = TrainConfig(batch=1, epochs=EPOCHS, seq_len=40, seed=0)
+cfg = TrainConfig(batch=1, epochs=EPOCHS, seq_len=40)
 history = train(net, [scene], cfg,
                 progress=lambda r: print(f"  epoch {r['epoch']:3d}  "
                                          f"loss {r['loss']:.3f}  "

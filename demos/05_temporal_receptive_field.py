@@ -11,7 +11,7 @@ empty input - the bias-driven limitation of spiking reconstruction.
 
 import numpy as np
 
-from evrecon.model import Network, NetworkSpec
+from evrecon.model import Network, NetworkSpec, spike_rate
 from evrecon.synthetic import random_scene
 from evrecon.training import scene_to_bins
 
@@ -56,9 +56,7 @@ for stage in net2._conv_stages():
 
 print("\nunfolded BN with nonzero shifts, empty input from the start:")
 for step in range(4):
-    monitor = {}
-    net2.forward_step(empty, monitor=monitor)
-    ones = sum(float(s.sum()) for s in monitor.values())
-    elems = sum(s.size for s in monitor.values())
-    print(f"  silent step {step}: spike rate {ones / elems:.3f}")
+    spike_counts = {}
+    net2.forward_step(empty, spike_counts)
+    print(f"  silent step {step}: spike rate {spike_rate(spike_counts):.3f}")
 print("  -> nonzero rate despite zero input: bias current never sleeps")

@@ -528,12 +528,17 @@ def separable_filter(x, taps):
 def depthwise_conv3x3(x, weight, bias=None):
     """Per-channel 3x3 convolution, stride 1, padding 1.
 
-    weight has shape (C, 3, 3); each channel is filtered independently.
+    weight has shape (C, 3, 3) and bias (C,); each channel is filtered
+    independently.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     n, c, h, w = x.shape
     if weight.shape != (c, 3, 3):
         raise ShapeError(f"depthwise weight shape {weight.shape} != ({c}, 3, 3)")
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (c,):
+            raise ShapeError(f"depthwise bias shape {bias.shape} != ({c},)")
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     out = np.zeros((n, c, h, w))
     for i in range(3):
@@ -549,10 +554,7 @@ def depthwise_conv3x3(x, weight, bias=None):
                 gxp[:, :, i:i + h, j:j + w] += g * weight.data[:, i, j][None, :, None, None]
         return gxp[:, :, 1:1 + h, 1:1 + w], gw
 
-    out_t = make_op(out, (x, weight), bw)
-    if bias is not None:
-        out_t = add(out_t, reshape(as_tensor(bias), (1, c, 1, 1)))
-    return out_t
+    return _conv_op(out, bw, x, weight, bias)
 
 
 def upsample_nearest2x(x):
@@ -590,8 +592,11 @@ def global_max_pool(x):
     return make_op(out, (x,), bw)
 
 
+BN_EPS = 1e-5  # batch norm's variance offset, also used when folding it into a conv
+
+
 def batch_norm2d(x, gamma, beta, running_mean, running_var,
-                 training, momentum=0.1, eps=1e-5):
+                 training, momentum=0.1, eps=BN_EPS):
     """Per-channel batch norm over (N,H,W).
 
     Train mode normalizes with batch statistics and updates the running

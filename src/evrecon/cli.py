@@ -8,6 +8,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ from . import quality
 from .errors import ConfigError, EvreconError, ParseError, config_from_dict
 from .events import (encode_voxel_grid, load_events, normalize_nonzero,
                      save_events, slice_temporal_bins, split_windows)
-from .model import Network, NetworkSpec
+from .model import Network, NetworkSpec, spike_rate
 from .neurons import NeuronConfig, lif_step, mp_step, surrogate_grad
-from .synthetic import SyntheticScene, generate_events, random_scene
+from .synthetic import SceneConfig, SceneMeta, generate_events
 from .training import TrainConfig, train, write_metrics_csv
 
 
@@ -66,28 +67,6 @@ def _load_json(path):
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _scene_from_config(cfg, seed):
-    rng = np.random.default_rng(seed)
-    height = cfg.get("height", 32)
-    width = cfg.get("width", 32)
-    steps = cfg.get("steps", 41)
-    contrast = cfg.get("contrast", 0.15)
-    if "motion" in cfg:
-        dy, dx = cfg["motion"]
-        scene = random_scene(height, width, steps, rng, contrast=contrast)
-        scene.trajectory = [(dy, dx)] * (steps - 1)
-    else:
-        scene = random_scene(height, width, steps, rng, contrast=contrast,
-                             max_shift=cfg.get("max_shift", 1))
-    return scene
-
-
-def _scene_from_meta(meta):
-    return SyntheticScene(texture=np.array(meta["texture"]),
-                          trajectory=[tuple(t) for t in meta["trajectory"]],
-                          contrast=meta["contrast"], dt=meta["dt"])
-
-
 def _windows(events, sensor, args):
     h, w = sensor
     if args.window_ms is not None:
@@ -111,20 +90,16 @@ def _events_to_bins(events, sensor, args):
 def cmd_simulate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _load_json(args.config) if args.config else {}
-    scene = _scene_from_config(cfg, args.seed)
+    cfg = (config_from_dict(SceneConfig, _load_json(args.config), args.config)
+           if args.config else SceneConfig())
+    scene = cfg.scene(np.random.default_rng(args.seed))
     events, frames, flows = generate_events(scene)
     h, w = scene.texture.shape
     save_events(out / "events.txt", events, sensor_h=h, sensor_w=w)
     for i, frame in enumerate(frames):
         write_pgm(out / f"gt_{i:04d}.pgm", frame)
-    meta = {
-        "height": h, "width": w, "steps": scene.steps, "dt": scene.dt,
-        "contrast": scene.contrast, "trajectory": list(scene.trajectory),
-        "flows": flows, "texture": scene.texture.tolist(), "seed": args.seed,
-    }
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
+        json.dump(asdict(SceneMeta.of(scene, flows, args.seed)), fh)
     print(f"wrote {len(events)} events and {len(frames)} frames to {out}")
     return 0
 
@@ -159,9 +134,8 @@ def cmd_train(args):
            if args.train_config else TrainConfig())
     if args.epochs is not None:
         cfg.epochs = args.epochs
-    cfg.seed = args.seed
-    meta = _load_json(Path(args.data) / "meta.json")
-    scene = _scene_from_meta(meta)
+    meta_path = Path(args.data) / "meta.json"
+    scene = config_from_dict(SceneMeta, _load_json(meta_path), meta_path).scene()
     net = Network(spec, seed=args.seed)
     if cfg.epochs > 0:
         train(net, [scene], cfg, log_path=out / "metrics.csv",
@@ -206,19 +180,18 @@ def cmd_probe(args):
         gt_frames = [read_pgm(p) for p in sorted(gt_dir.glob("gt_*.pgm"))]
 
     rows = []
-    monitors = []
-    images = net.forward_sequence(feed, monitor_list=monitors)
-    for i, (img, monitor) in enumerate(zip(images, monitors)):
-        ones = sum(float(s.sum()) for s in monitor.values())
-        elems = sum(s.size for s in monitor.values())
-        rate = ones / elems if elems else 0.0
-        row = {"step": i, "mse": "", "ssim": "", "spike_rate": rate,
-               "after_cutoff": int(i >= args.cutoff)}
-        if gt_frames:
-            # events of window i reconstruct frame i+1
-            gt = gt_frames[min(i + 1, len(gt_frames) - 1)]
-            row["mse"], row["ssim"] = quality.score(img, gt)
-        rows.append(row)
+    net.reset_state()
+    with ad.no_grad():
+        for i, plane in enumerate(feed):
+            spike_counts = {}
+            img = net.forward_step(plane, spike_counts).data[0, 0]
+            row = {"step": i, "mse": "", "ssim": "", "spike_rate": spike_rate(spike_counts),
+                   "after_cutoff": int(i >= args.cutoff)}
+            if gt_frames:
+                # events of window i reconstruct frame i+1
+                gt = gt_frames[min(i + 1, len(gt_frames) - 1)]
+                row["mse"], row["ssim"] = quality.score(img, gt)
+            rows.append(row)
     csv_path = out / "probe.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["step", "mse", "ssim",

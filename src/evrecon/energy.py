@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import layer_geometry
+from .model import layer_geometry, spike_rate
 
 E_MAC = 4.6e-12  # J per ANN multiply-accumulate
 E_ADD = 0.9e-12  # J per SNN addition
@@ -60,11 +60,8 @@ class EnergyReport:
         }, indent=2)
 
 
-def count_ann_ops(spec, height=None, width=None):
+def count_ann_ops(spec):
     """MAC-equivalent count per weighted layer of a network spec."""
-    if height is not None or width is not None:
-        from dataclasses import replace
-        spec = replace(spec, height=height or spec.height, width=width or spec.width)
     counts = []
     for layer in layer_geometry(spec):
         k = layer["kernel"]
@@ -83,23 +80,14 @@ def measure_spike_rates(net, bin_sequences, op_counts=None):
     """Run sequences through `net` and average each layer's firing rate.
 
     `bin_sequences` is an iterable of bin lists (each a full sequence; the
-    state is reset between sequences). Rates are spikes / elements pooled
-    over all steps and sequences.
+    state is reset between sequences). Rates are spikes / neurons stepped,
+    pooled over all steps and sequences in one spike tally.
     """
-    ones = {}
-    elems = {}
+    spike_counts = {}
     for bins in bin_sequences:
-        monitors = []
-        net.forward_sequence(bins, monitor_list=monitors)
-        for monitor in monitors:
-            for lid, spikes in monitor.items():
-                ones[lid] = ones.get(lid, 0.0) + float(spikes.sum())
-                elems[lid] = elems.get(lid, 0) + spikes.size
-    per_layer = {lid: (ones[lid] / elems[lid] if elems[lid] else 0.0)
-                 for lid in ones}
-    total_ones = sum(ones.values())
-    total_elems = sum(elems.values())
-    neuron_weighted = total_ones / total_elems if total_elems else 0.0
+        net.forward_sequence(bins, spike_counts)
+    per_layer = {lid: spike_rate({lid: tally}) for lid, tally in spike_counts.items()}
+    neuron_weighted = spike_rate(spike_counts)
 
     if op_counts is None:
         op_counts = count_ann_ops(net.spec)
@@ -112,13 +100,12 @@ def measure_spike_rates(net, bin_sequences, op_counts=None):
                       overall_op_weighted=op_weighted)
 
 
-def estimate_energy(op_counts, spike_stats=None, default_rate=0.0,
-                    empty_input_rate=None):
+def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
     """Energy per layer and in total.
 
     SNN layers: op_ann * rate * E_ADD. ANN/MP layers: op_ann * E_MAC.
     `spike_stats` may be a SpikeStats or a plain {layer: rate} dict;
-    missing layers fall back to `default_rate`.
+    missing layers are priced at rate 0.
     """
     rates = {}
     if spike_stats is not None:
@@ -128,7 +115,7 @@ def estimate_energy(op_counts, spike_stats=None, default_rate=0.0,
     for c in op_counts:
         total_ann += c.op_ann * E_MAC
         if c.is_snn and not c.is_mp:
-            rate = rates.get(c.layer, default_rate)
+            rate = rates.get(c.layer, 0.0)
             per_layer[c.layer] = c.op_ann * rate * E_ADD
         else:
             per_layer[c.layer] = c.op_ann * E_MAC
@@ -157,7 +144,7 @@ def ann_snn_ratio(a, b, c):
     """
     if not (0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):
         raise ConfigError("rate and MP fraction must lie in [0, 1]")
-    return (a * 4.6) / (c * 4.6 + (1.0 - c) * b * 0.9)
+    return (a * E_MAC) / (c * E_MAC + (1.0 - c) * b * E_ADD)
 
 
 def format_report(op_counts, report, spike_stats=None):

@@ -42,8 +42,9 @@ class DivergenceError(EvreconError):
 def config_from_dict(cls, data, source):
     """Build the dataclass `cls` from a JSON object read from `source`.
 
-    Keys that are not fields of `cls`, and fields without a default that
-    are missing, raise ConfigError naming them and `source`.
+    Keys that are not fields of `cls`, fields without a default that are
+    missing, and values that `cls` rejects raise ConfigError naming them
+    and `source`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: expected a JSON object, got {type(data).__name__}")
@@ -56,7 +57,10 @@ def config_from_dict(cls, data, source):
                and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{source}: missing {cls.__name__} key(s): {', '.join(missing)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def check_field_types(config):
@@ -64,11 +68,14 @@ def check_field_types(config):
     whose value is not of its declared type (int, float, bool or str).
 
     A float field also takes an integer; a bool is neither an int nor a
-    float, even though Python counts it as one.
+    float, even though Python counts it as one. A field whose default is
+    None also takes None.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.type is float:
+        if value is None and f.default is None:
+            ok = True
+        elif f.type is float:
             ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
         elif f.type is int:
             ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)

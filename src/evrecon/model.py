@@ -6,8 +6,8 @@
 layer `pred`), each with its kernel, stride, channels and output grid.
 `Network` builds one `Stage` per row (conv + batch norm, its neuron and an
 optional potential neuron) and derives everything else from that list:
-parameters, recurrent state ids, checkpoint tensor names, monitor ids, and
-the rows the energy model prices (`layer_geometry`).
+parameters, recurrent state ids, checkpoint tensor names, the layer ids of
+a spike tally, and the rows the energy model prices (`layer_geometry`).
 
 The fully spiking variant (EVSNN) runs head -> encoders -> residual blocks
 -> decoders (with spike skip connections) -> a conv + MP_LIF prediction
@@ -34,7 +34,7 @@ from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .errors import (ConfigError, ContractError, ParseError, ShapeError, check_field_types,
                      config_from_dict)
-from .neurons import MPLayer, NeuronConfig, SpikingLayer
+from .neurons import SPIKING_KINDS, MPLayer, NeuronConfig, SpikingLayer
 
 SKIP_KINDS = ("ADD", "OR", "IAND", "CONCAT")
 
@@ -68,8 +68,9 @@ class NetworkSpec:
                 raise ConfigError(f"NetworkSpec.{name} must be odd and positive, got {k}")
         if self.skip_kind not in SKIP_KINDS:
             raise ConfigError(f"unknown skip kind {self.skip_kind!r}")
-        if self.neuron_kind not in ("IF", "LIF", "PLIF"):
-            raise ConfigError(f"backbone neuron must be IF/LIF/PLIF, got {self.neuron_kind!r}")
+        if self.neuron_kind not in SPIKING_KINDS:
+            raise ConfigError(f"backbone neuron must be {'/'.join(SPIKING_KINDS)}, "
+                              f"got {self.neuron_kind!r}")
         if self.n_channels < 1 or self.n_encoders < 1 or self.n_residual < 0:
             raise ConfigError("n_channels/n_encoders must be >= 1, n_residual >= 0")
         if self.amp_enabled and not self.potential_assisted:
@@ -227,11 +228,11 @@ class ConvStage:
             out[f"{self.name}.running_var"] = self.running_var
         return out
 
-    def fold_bn(self, eps=1e-5):
+    def fold_bn(self):
         """Fold batch-norm statistics into the conv weights and disable it."""
         if not self.has_bn:
             return
-        inv = self.gamma.data / np.sqrt(self.running_var + eps)
+        inv = self.gamma.data / np.sqrt(self.running_var + ad.BN_EPS)
         self.w.data *= inv[:, None, None, None]
         self.b.data = (self.b.data - self.running_mean) * inv + self.beta.data
         self.has_bn = False
@@ -258,6 +259,14 @@ class Stage:
 
 def _with_potential(x, potential):
     return x if potential is None else x + potential
+
+
+def spike_rate(spike_counts):
+    """Spikes fired over neurons stepped in a spike tally filled by
+    `Network.forward_step`; 0.0 for an empty tally."""
+    fired = sum(f for f, _ in spike_counts.values())
+    stepped = sum(n for _, n in spike_counts.values())
+    return fired / stepped if stepped else 0.0
 
 
 class Network:
@@ -336,12 +345,14 @@ class Network:
                 conv.beta.data[:] = 0.0
 
     # -- forward -------------------------------------------------------------
-    def forward_step(self, bin_plane, monitor=None):
+    def forward_step(self, bin_plane, spike_counts=None):
         """Advance one temporal bin; returns the predicted image Tensor.
 
-        `bin_plane` is (H, W), (1, H, W), or (N, 1, H, W). `monitor`, if
-        given, is a dict that receives each spiking layer's binary output
-        (numpy) keyed by layer id.
+        `bin_plane` is (H, W), (1, H, W), or (N, 1, H, W). `spike_counts`,
+        if given, is a spike tally: each spiking layer adds the spikes it
+        fired and the neurons it stepped to `spike_counts[layer id]`, a
+        `[fired, stepped]` pair of ints, so one dict can tally a step, a
+        sequence or an epoch. Read it with `spike_rate`.
         """
         spec = self.spec
         x = bin_plane.data if isinstance(bin_plane, Tensor) else np.asarray(bin_plane, dtype=np.float64)
@@ -362,8 +373,10 @@ class Network:
             """Conv, spiking neuron and potential neuron; returns (spikes, potential)."""
             u = stage.conv.forward(inp, self.training)
             s = stage.neuron.step(u)
-            if monitor is not None:
-                monitor[stage.name] = s.data
+            if spike_counts is not None:
+                tally = spike_counts.setdefault(stage.name, [0, 0])
+                tally[0] += int(np.count_nonzero(s.data))
+                tally[1] += s.data.size
             pot = None if stage.potential is None else stage.potential.step(u, s_input=s)
             return s, pot
 
@@ -390,22 +403,17 @@ class Network:
             image = image[:, :, :spec.height, :spec.width]
         return image
 
-    def forward_sequence(self, bins, monitor_list=None):
+    def forward_sequence(self, bins, spike_counts=None):
         """Reset state, fold forward_step over bins, return per-step images.
 
         Runs without gradient recording; images come back as (H, W) arrays
-        (first batch element).
+        (first batch element). `spike_counts` tallies every step, as in
+        `forward_step`.
         """
         self.reset_state()
-        images = []
         with ad.no_grad():
-            for plane in bins:
-                monitor = {} if monitor_list is not None else None
-                out = self.forward_step(plane, monitor=monitor)
-                if monitor_list is not None:
-                    monitor_list.append(monitor)
-                images.append(out.data[0, 0].copy())
-        return images
+            return [self.forward_step(plane, spike_counts).data[0, 0].copy()
+                    for plane in bins]
 
     # -- serialization -------------------------------------------------------
     def named_tensors(self):

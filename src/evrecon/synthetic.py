@@ -1,14 +1,15 @@
 """Miniature event simulator: translating textures trigger threshold
 crossings in log intensity, yielding an event stream plus per-step
-ground-truth frames and flow."""
+ground-truth frames and flow. `SceneConfig` and `SceneMeta` are the
+checked JSON forms of a scene to draw and of a drawn scene."""
 
 from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
 
-from .errors import ConfigError
-from .events import Event
+from .errors import ConfigError, check_field_types
+from .events import MAX_SENSOR_SIDE, Event
 
 LOG_EPS = 1e-3
 
@@ -92,3 +93,111 @@ def generate_events(scene):
     records.sort(key=lambda r: r[0])
     events = list(starmap(Event, records))
     return events, frames, flows
+
+
+def _check_shifts(owner, name, shifts):
+    """ConfigError unless every entry of `shifts` is a [dy, dx] pair of
+    integers no larger than a sensor side."""
+    for shift in shifts:
+        if not (isinstance(shift, (list, tuple)) and len(shift) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool)
+                        and abs(v) <= MAX_SENSOR_SIDE for v in shift)):
+            raise ConfigError(f"{owner}.{name}: {shift!r} is not a [dy, dx] pair of integers "
+                              f"within +-{MAX_SENSOR_SIDE}")
+
+
+def _check_positive(owner, name, value):
+    if not 0.0 < value < float("inf"):
+        raise ConfigError(f"{owner}.{name} must be positive and finite, got {value!r}")
+
+
+@dataclass
+class SceneConfig:
+    """The `simulate --config` JSON: a random scene to draw (`random_scene`).
+
+    The trajectory is a random walk of up to `max_shift` pixels per axis
+    and step or, when `motion` [dy, dx] is given, that shift at every step.
+    """
+
+    height: int = 32
+    width: int = 32
+    steps: int = 41
+    contrast: float = 0.15
+    max_shift: int = 1
+    motion: list = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("height", "width"):
+            if not 1 <= getattr(self, name) <= MAX_SENSOR_SIDE:
+                raise ConfigError(f"SceneConfig.{name} must be in 1-{MAX_SENSOR_SIDE}, "
+                                  f"got {getattr(self, name)}")
+        if self.steps < 2:
+            raise ConfigError(f"SceneConfig.steps must be >= 2 (two frames make one "
+                              f"shift), got {self.steps}")
+        _check_positive("SceneConfig", "contrast", self.contrast)
+        if not 0 <= self.max_shift <= MAX_SENSOR_SIDE:
+            raise ConfigError(f"SceneConfig.max_shift must be in 0-{MAX_SENSOR_SIDE}, "
+                              f"got {self.max_shift}")
+        if self.motion is not None:
+            _check_shifts("SceneConfig", "motion", [self.motion])
+
+    def scene(self, rng):
+        scene = random_scene(self.height, self.width, self.steps, rng,
+                             contrast=self.contrast, max_shift=self.max_shift)
+        if self.motion is not None:
+            scene.trajectory = [tuple(self.motion)] * (self.steps - 1)
+        return scene
+
+
+@dataclass
+class SceneMeta:
+    """The `meta.json` that `simulate` writes and `train` reads: a drawn
+    scene (texture rows in [0, 1], trajectory, contrast, dt), its size and
+    step count, its flows (`scene_frames`) and the seed it was drawn with."""
+
+    height: int
+    width: int
+    steps: int
+    dt: float
+    contrast: float
+    trajectory: list
+    flows: list
+    texture: list
+    seed: int
+
+    def __post_init__(self):
+        check_field_types(self)
+        try:
+            texture = np.asarray(self.texture)
+            numeric = texture.dtype.kind in "iuf"
+        except ValueError:  # ragged rows
+            numeric = False
+        if not numeric:
+            raise ConfigError("SceneMeta.texture must be rows of numbers")
+        if texture.shape != (self.height, self.width) or texture.size == 0:
+            raise ConfigError(f"SceneMeta.texture is {texture.shape}, height and width "
+                              f"say {(self.height, self.width)}")
+        if not np.all((texture >= 0.0) & (texture <= 1.0)):
+            raise ConfigError("SceneMeta.texture values must lie in [0, 1]")
+        _check_positive("SceneMeta", "dt", self.dt)
+        _check_positive("SceneMeta", "contrast", self.contrast)
+        if self.steps < 2 or len(self.trajectory) != self.steps - 1:
+            raise ConfigError(f"SceneMeta.trajectory holds {len(self.trajectory)} shifts; "
+                              f"steps {self.steps} needs steps - 1 >= 1")
+        _check_shifts("SceneMeta", "trajectory", self.trajectory)
+        _check_shifts("SceneMeta", "flows", self.flows)
+        if [list(f) for f in self.flows] != [[0, 0]] + [list(t) for t in self.trajectory]:
+            raise ConfigError("SceneMeta.flows must be [0, 0] followed by the trajectory")
+
+    @classmethod
+    def of(cls, scene, flows, seed):
+        h, w = scene.texture.shape
+        return cls(height=h, width=w, steps=scene.steps, dt=scene.dt,
+                   contrast=scene.contrast, trajectory=list(scene.trajectory), flows=flows,
+                   texture=scene.texture.tolist(), seed=seed)
+
+    def scene(self):
+        return SyntheticScene(texture=np.array(self.texture),
+                              trajectory=[tuple(t) for t in self.trajectory],
+                              contrast=self.contrast, dt=self.dt)

@@ -8,6 +8,7 @@ segment, then the recurrent state is detached at the boundary.
 """
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import quality
 from .autodiff import Tensor
 from .errors import ConfigError, DivergenceError, ShapeError, check_field_types
 from .events import EventWindow, encode_voxel_grid, normalize_nonzero, slice_temporal_bins
+from .model import spike_rate
 from .synthetic import generate_events
 
 
@@ -30,7 +32,6 @@ class TrainConfig:
     loss_every: int = 5
     seq_len: int = 40
     bins_per_window: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
@@ -108,11 +109,12 @@ def scene_to_bins(scene, n_bins=1):
     step per frame interval.
     """
     events, frames, flows = generate_events(scene)
+    times = [ev.t for ev in events]  # sorted, so each window is one slice
     h, w = scene.texture.shape
     bins, gts, step_flows = [], [], []
     for s in range(1, len(frames)):
         t0, t1 = (s - 1) * scene.dt, s * scene.dt
-        in_window = [ev for ev in events if t0 < ev.t <= t1]
+        in_window = events[bisect_right(times, t0):bisect_right(times, t1)]  # t0 < t <= t1
         window = EventWindow(in_window, t0, t1, h, w)
         grid = normalize_nonzero(encode_voxel_grid(window, n_bins))
         for plane in slice_temporal_bins(grid):
@@ -162,8 +164,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         n_segments = 0
-        spike_ones = 0.0
-        spike_elems = 0
+        spike_counts = {}
         scores = []  # (mse, ssim) of every prediction of the epoch
         for bins, gts, flows in batches:
             net.train_mode(True)
@@ -172,13 +173,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
             steps = min(len(bins), cfg.seq_len)
             for seg_start in range(0, steps, cfg.loss_every):
                 seg = slice(seg_start, min(seg_start + cfg.loss_every, steps))
-                preds = []
-                for plane in bins[seg]:
-                    monitor = {}
-                    preds.append(net.forward_step(plane, monitor=monitor))
-                    for spikes in monitor.values():
-                        spike_ones += float(spikes.sum())
-                        spike_elems += spikes.size
+                preds = [net.forward_step(plane, spike_counts) for plane in bins[seg]]
                 loss = total_loss(preds, gts[seg], flows[seg], cfg,
                                   prev_pred=prev_pred, step0=seg_start)
                 value = loss.item()
@@ -200,7 +195,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
             "loss": epoch_loss / max(n_segments, 1),
             "mse": mse_val,
             "ssim": ssim_val,
-            "spike_rate": spike_ones / max(spike_elems, 1),
+            "spike_rate": spike_rate(spike_counts),
         }
         history.append(record)
         if progress is not None:

@@ -227,6 +227,35 @@ class TestConvKernel:
         np.testing.assert_array_equal(out.data, plain.data + b.data.reshape(1, 3, 1, 1))
 
 
+class TestDepthwiseConv3x3:
+    def test_bias_matches_a_separate_add(self):
+        # the oracle is the old composition: the op without bias, then a
+        # reshape and an add node
+        rng = np.random.default_rng(30)
+        x, w, b = rng.standard_normal((2, 3, 5, 6)), rng.standard_normal((3, 3, 3)), \
+            rng.standard_normal(3)
+        g = rng.standard_normal((2, 3, 5, 6))
+
+        def run(op):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = op(xt, wt, bt)
+            (out * g).sum().backward()
+            return out, [xt.grad, wt.grad, bt.grad]
+
+        out, grads = run(ad.depthwise_conv3x3)
+        want, want_grads = run(lambda xt, wt, bt: ad.add(ad.depthwise_conv3x3(xt, wt),
+                                                         ad.reshape(bt, (1, 3, 1, 1))))
+        assert len(out._parents) == 3  # one tape node
+        np.testing.assert_array_equal(out.data, want.data)
+        for got, ref in zip(grads, want_grads):
+            assert max_rel_err(got, ref) < 1e-12
+
+    def test_bias_shape_error(self):
+        with pytest.raises(ShapeError):
+            ad.depthwise_conv3x3(Tensor(rand(1, 2, 3, 3)), Tensor(rand(2, 3, 3)),
+                                 Tensor(rand(3)))
+
+
 class TestUpsample2xConv2d:
     """The phase-folded decoder conv against its oracle: upsample_nearest2x
     followed by conv2d with padding k//2."""
@@ -462,6 +491,16 @@ class TestFiniteDifference:
             lambda t: (ad.conv2d(x, t, b, padding=1) ** 2.0).sum(), w) < 1e-4
         assert ad.finite_difference_check(
             lambda t: (ad.conv2d(x, w, t, padding=1) ** 2.0).sum(), b) < 1e-4
+
+    def test_depthwise_conv3x3(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((1, 2, 4, 5)))
+        w = Tensor(rng.standard_normal((2, 3, 3)) * 0.4)
+        b = Tensor(rng.standard_normal(2))
+        assert ad.finite_difference_check(
+            lambda t: (ad.depthwise_conv3x3(x, w, t) ** 2.0).sum(), b) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.depthwise_conv3x3(t, w, b) ** 2.0).sum(), x) < 1e-4
 
     def test_upsample2x_conv2d(self):
         rng = np.random.default_rng(26)

@@ -91,6 +91,34 @@ class TestSimulate:
         assert (tmp_path / "events.txt").read_text() == \
             (sim_dir / "events.txt").read_text()
 
+    @pytest.mark.parametrize("config,field", [
+        pytest.param({"height": "32"}, "height", id="wrong-type"),
+        pytest.param({"motion": [1]}, "motion", id="short-motion"),
+        pytest.param({"motion": [1, 0.5]}, "motion", id="fractional-motion"),
+        pytest.param({"max_shift": -1}, "max_shift", id="negative-max-shift"),
+        pytest.param({"height": 0}, "height", id="zero-height"),
+        pytest.param({"steps": 0}, "steps", id="zero-steps"),
+        pytest.param({"contrast": 0.0}, "contrast", id="zero-contrast"),
+        pytest.param({"hieght": 16}, "hieght", id="unknown-key"),
+        pytest.param([1, 2], "JSON object", id="not-an-object"),
+    ])
+    def test_bad_config_names_the_file_and_field(self, tmp_path, capsys, config, field):
+        # raw TypeError/ValueError/AttributeError tracebacks, a typo silently
+        # ignored, or a scene of 0 events before
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and field in err
+
+    def test_constant_motion(self, tmp_path):
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps({"height": 8, "width": 8, "steps": 4, "motion": [1, -1]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["trajectory"] == [[1, -1]] * 3
+        assert meta["flows"] == [[0, 0]] + [[1, -1]] * 3
+
 
 class TestVoxelize:
     def test_grid_dump(self, sim_dir, tmp_path):
@@ -174,6 +202,49 @@ class TestTrain:
         assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
                      "--train-config", str(tc), "--out", str(tmp_path)]) == 1
         assert "epochz" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(lambda m: m.pop("texture"), "texture", id="missing-texture"),
+        pytest.param(lambda m: m.update(texture=[[0.5]]), "texture", id="texture-size"),
+        pytest.param(lambda m: m.update(texture=[["0.5"] * 16] * 16), "texture",
+                     id="texture-not-numbers"),
+        pytest.param(lambda m: m.update(texture=[[0.5] * 16] * 15 + [[0.5]]), "texture",
+                     id="texture-ragged"),
+        pytest.param(lambda m: m["texture"][0].__setitem__(0, 2.0), "texture",
+                     id="texture-above-1"),
+        pytest.param(lambda m: m.update(dt="0.01"), "dt", id="wrong-type"),
+        pytest.param(lambda m: m.update(dt=0.0), "dt", id="zero-dt"),
+        pytest.param(lambda m: m["trajectory"].pop(), "trajectory", id="short-trajectory"),
+        pytest.param(lambda m: m["trajectory"].__setitem__(0, [1]), "trajectory",
+                     id="bad-shift"),
+        pytest.param(lambda m: m["flows"].__setitem__(1, [9, 9]), "flows", id="flows-disagree"),
+        pytest.param(lambda m: m.update(flows=[1, 2]), "flows", id="flows-not-pairs"),
+        pytest.param(lambda m: m.update(extra=1), "extra", id="unknown-key"),
+    ])
+    def test_bad_meta_names_the_file_and_field(self, sim_dir, tmp_path, capsys, edit, field):
+        # a raw KeyError for a missing texture before
+        data = tmp_path / "data"
+        data.mkdir()
+        meta = json.loads((sim_dir / "meta.json").read_text())
+        edit(meta)
+        (data / "meta.json").write_text(json.dumps(meta))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        assert main(["train", "--spec", str(spec), "--data", str(data),
+                     "--epochs", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / 'meta.json'}: ") and field in err
+
+    def test_seed_in_train_config_is_unknown(self, sim_dir, tmp_path, capsys):
+        # `--seed` sets the seed; a "seed" in train.json was silently ignored
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        tc = tmp_path / "train.json"
+        tc.write_text(json.dumps({"seed": 3}))
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--train-config", str(tc), "--out", str(tmp_path)]) == 1
+        assert "unknown TrainConfig key(s): seed" in capsys.readouterr().err
 
 
 class TestReconstruct:

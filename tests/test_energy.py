@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestOpCounting:
 
     def test_resolution_override(self):
         base = sum(c.op_ann for c in count_ann_ops(tiny_spec()))
-        big = sum(c.op_ann for c in count_ann_ops(tiny_spec(), height=32, width=32))
+        big = sum(c.op_ann for c in count_ann_ops(replace(tiny_spec(), height=32, width=32)))
         assert big == 4 * base  # ops scale with pixel count
 
     def test_full_scale_totals_match_published(self):

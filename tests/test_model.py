@@ -7,7 +7,9 @@ import pytest
 from evrecon import checkpoint
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ParseError, ShapeError
-from evrecon.model import Network, NetworkSpec, layer_geometry, skip_connect, stage_table
+from evrecon.model import (Network, NetworkSpec, layer_geometry, skip_connect, spike_rate,
+                           stage_table)
+from evrecon.neurons import SpikingLayer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -151,9 +153,9 @@ class TestStageTable:
 
     def test_monitor_ids_are_the_spiking_layers(self):
         net = Network(tiny_spec(potential_assisted=True), seed=0)
-        monitor = {}
-        net.forward_step(np.zeros((16, 16)), monitor=monitor)
-        assert list(monitor) == net.spiking_layer_ids()
+        spike_counts = {}
+        net.forward_step(np.zeros((16, 16)), spike_counts)
+        assert list(spike_counts) == net.spiking_layer_ids()
 
     def test_energy_rows_follow_the_table(self):
         spec = tiny_spec(potential_assisted=True, amp_enabled=True)
@@ -229,14 +231,58 @@ class TestForward:
         o2 = Network(tiny_spec(), seed=7).forward_step(x).data
         np.testing.assert_array_equal(o1, o2)
 
-    def test_monitor_collects_binary_spikes(self):
+    def test_tally_counts_each_layers_spikes(self, monkeypatch):
+        # every step's spike output, captured around SpikingLayer.step
+        fired = {}
+        step = SpikingLayer.step
+
+        def recording_step(layer, x):
+            spikes = step(layer, x)
+            assert set(np.unique(spikes.data)) <= {0.0, 1.0}
+            fired.setdefault(id(layer), []).append(spikes.data.copy())
+            return spikes
+
+        monkeypatch.setattr(SpikingLayer, "step", recording_step)
         rng = np.random.default_rng(55)
         net = Network(tiny_spec(), seed=0)
-        monitor = {}
-        net.forward_step(rng.standard_normal((16, 16)) * 2, monitor=monitor)
-        assert len(monitor) > 0
-        for name, spikes in monitor.items():
-            assert set(np.unique(spikes)) <= {0.0, 1.0}, name
+        net.train_mode(True)  # batch statistics keep the deep layers firing
+        spike_counts = {}
+        for _ in range(3):
+            net.forward_step(rng.standard_normal((2, 1, 16, 16)) * 2, spike_counts)
+        assert list(spike_counts) == net.spiking_layer_ids()
+        for stage in net.stages[:-1]:
+            outputs = fired[id(stage.neuron)]
+            assert len(outputs) == 3
+            want = [int(sum(s.sum() for s in outputs)), sum(s.size for s in outputs)]
+            assert spike_counts[stage.name] == want, stage.name
+            assert all(isinstance(v, int) for v in spike_counts[stage.name])
+        assert 0.0 < spike_rate(spike_counts) < 1.0
+
+    def test_spike_rate(self):
+        assert spike_rate({}) == 0.0
+        assert spike_rate({"a": [1, 4], "b": [2, 8]}) == 0.25
+
+    def test_old_monitor_keyword_fails(self):
+        net = Network(tiny_spec(), seed=0)
+        with pytest.raises(TypeError):
+            net.forward_step(np.zeros((16, 16)), monitor={})
+        with pytest.raises(TypeError):
+            net.forward_sequence([np.zeros((16, 16))], monitor_list=[])
+
+    def test_sequence_tally_is_the_sum_of_its_steps(self):
+        rng = np.random.default_rng(56)
+        bins = [rng.standard_normal((16, 16)) * 3 for _ in range(4)]
+        net = Network(tiny_spec(), seed=0)
+        net.train_mode(True)
+        whole = {}
+        net.forward_sequence(bins, whole)
+        per_step = []
+        net.reset_state()
+        for plane in bins:
+            per_step.append({})
+            net.forward_step(plane, per_step[-1])
+        assert whole == {lid: [sum(t[lid][0] for t in per_step), sum(t[lid][1] for t in per_step)]
+                         for lid in whole}
 
     @pytest.mark.parametrize("skip_kind", ["ADD", "OR", "IAND", "CONCAT"])
     def test_all_skip_kinds_run(self, skip_kind):
