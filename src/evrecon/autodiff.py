@@ -65,9 +65,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def numpy(self):
-        return self.data
-
     def item(self):
         return self.data.item()
 
@@ -77,9 +74,6 @@ class Tensor:
     def detach(self):
         """Constant copy sharing the same buffer; cuts the graph."""
         return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph machinery -----------------------------------------------------
     def backward(self):

@@ -178,6 +178,8 @@ def cmd_probe(args):
     if args.gt:
         gt_dir = Path(args.gt)
         gt_frames = [read_pgm(p) for p in sorted(gt_dir.glob("gt_*.pgm"))]
+        if not gt_frames:
+            raise ConfigError(f"{gt_dir}: no gt_*.pgm files to score against")
 
     rows = []
     net.reset_state()

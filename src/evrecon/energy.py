@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .model import layer_geometry, spike_rate
+from .model import spike_rate, stage_table
 
 E_MAC = 4.6e-12  # J per ANN multiply-accumulate
 E_ADD = 0.9e-12  # J per SNN addition
@@ -31,8 +31,11 @@ PUBLISHED = {
 class LayerOpCount:
     layer: str
     op_ann: int
-    is_snn: bool
-    is_mp: bool
+    is_snn: bool  # operates on binary spikes; otherwise a membrane-potential branch layer
+
+    @property
+    def is_mp(self):
+        return not self.is_snn
 
 
 @dataclass
@@ -61,18 +64,16 @@ class EnergyReport:
 
 
 def count_ann_ops(spec):
-    """MAC-equivalent count per weighted layer of a network spec."""
+    """MAC-equivalent count per weighted layer of a network spec, in forward
+    order: one conv per stage (a decoder's on its upsampled output grid),
+    then the 3x3 depthwise conv and [F, I] -> C linear of its AMP block."""
     counts = []
-    for layer in layer_geometry(spec):
-        k = layer["kernel"]
-        if layer["op"] == "conv":
-            ops = k * k * layer["cin"] * layer["h_out"] * layer["w_out"] * layer["cout"]
-        elif layer["op"] == "dwconv":
-            ops = k * k * layer["h_out"] * layer["w_out"] * layer["cout"]
-        else:  # linear
-            ops = layer["cin"] * layer["cout"]
-        counts.append(LayerOpCount(layer=layer["name"], op_ann=int(ops),
-                                   is_snn=layer["snn"], is_mp=layer["mp"]))
+    for g in stage_table(spec):
+        grid = g.h_out * g.w_out
+        counts.append(LayerOpCount(g.name, g.kernel ** 2 * g.cin * grid * g.cout, is_snn=True))
+        if g.potential and spec.amp_enabled:
+            counts.append(LayerOpCount(f"{g.name}-amp-conv", 9 * grid * g.cout, is_snn=False))
+            counts.append(LayerOpCount(f"{g.name}-amp-linear", 2 * g.cout ** 2, is_snn=False))
     return counts
 
 
@@ -103,7 +104,7 @@ def measure_spike_rates(net, bin_sequences, op_counts=None):
 def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
     """Energy per layer and in total.
 
-    SNN layers: op_ann * rate * E_ADD. ANN/MP layers: op_ann * E_MAC.
+    SNN layers: op_ann * rate * E_ADD. MP layers: op_ann * E_MAC.
     `spike_stats` may be a SpikeStats or a plain {layer: rate} dict;
     missing layers are priced at rate 0.
     """
@@ -114,7 +115,7 @@ def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
     total_ann = 0.0
     for c in op_counts:
         total_ann += c.op_ann * E_MAC
-        if c.is_snn and not c.is_mp:
+        if c.is_snn:
             rate = rates.get(c.layer, 0.0)
             per_layer[c.layer] = c.op_ann * rate * E_ADD
         else:
@@ -154,7 +155,7 @@ def format_report(op_counts, report, spike_stats=None):
         rates = spike_stats.per_layer if isinstance(spike_stats, SpikeStats) else dict(spike_stats)
     lines = [f"{'layer':<18}{'type':<6}{'op_ann':>14}{'rate':>8}{'energy (J)':>14}"]
     for c in op_counts:
-        kind = "MP" if c.is_mp else ("SNN" if c.is_snn else "ANN")
+        kind = "SNN" if c.is_snn else "MP"
         rate = rates.get(c.layer)
         rate_s = f"{rate:.4f}" if rate is not None else "-"
         lines.append(f"{c.layer:<18}{kind:<6}{c.op_ann:>14,}{rate_s:>8}"

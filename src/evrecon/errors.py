@@ -2,6 +2,7 @@
 from a JSON object to a config dataclass."""
 
 import dataclasses
+import math
 import numbers
 
 
@@ -84,3 +85,16 @@ def check_field_types(config):
         if not ok:
             raise ConfigError(f"{type(config).__name__}.{f.name} must be "
                               f"{f.type.__name__}, got {value!r}")
+
+
+def check_finite(config, *names):
+    """Raise ConfigError naming the first of the number fields `names` of
+    the dataclass `config` that is NaN, infinite or too large for a float."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{type(config).__name__}.{name} must be finite, got {value!r}")

@@ -218,12 +218,14 @@ def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
     """
     if (duration is None) == (count is None):
         raise ConfigError("give exactly one of duration= or count=")
+    if duration is not None and not 0.0 < duration < float("inf"):
+        raise ConfigError(f"window duration must be positive and finite, got {duration}")
+    if count is not None and count < 1:
+        raise ConfigError(f"window count must be >= 1, got {count}")
     if not events:
         return []
     windows = []
     if duration is not None:
-        if duration <= 0:
-            raise ConfigError(f"window duration must be > 0, got {duration}")
         t_begin = events[0].t
         t_end = events[-1].t
         # the final window is closed on the right, so a span that divides
@@ -241,8 +243,6 @@ def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
             windows.append(EventWindow(events[start:end], w0, w1, sensor_h, sensor_w))
             start = end
     else:
-        if count < 1:
-            raise ConfigError(f"window count must be >= 1, got {count}")
         for start in range(0, len(events), count):
             chunk = events[start:start + count]
             windows.append(EventWindow(chunk, chunk[0].t, chunk[-1].t,

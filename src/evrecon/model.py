@@ -6,8 +6,8 @@
 layer `pred`), each with its kernel, stride, channels and output grid.
 `Network` builds one `Stage` per row (conv + batch norm, its neuron and an
 optional potential neuron) and derives everything else from that list:
-parameters, recurrent state ids, checkpoint tensor names, the layer ids of
-a spike tally, and the rows the energy model prices (`layer_geometry`).
+parameters, recurrent state ids, checkpoint tensor names and the layer ids
+of a spike tally; the energy model prices its rows (`energy.count_ann_ops`).
 
 The fully spiking variant (EVSNN) runs head -> encoders -> residual blocks
 -> decoders (with spike skip connections) -> a conv + MP_LIF prediction
@@ -20,11 +20,10 @@ backbone into the next stage.
 A decoder's nearest 2x upsample and conv run as one `ad.upsample2x_conv2d`,
 which computes on the low-resolution grid through a phase fold of the
 kernel. The energy model still prices a decoder as a conv on the upsampled
-grid (`layer_geometry`), the paper's convention: what is computed and what
-is counted are kept apart on purpose.
+grid (`energy.count_ann_ops`), the paper's convention: what is computed and
+what is counted are kept apart on purpose.
 """
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -77,6 +76,11 @@ class NetworkSpec:
             raise ConfigError("amp_enabled requires potential_assisted")
         if self.height < 2 ** self.n_encoders or self.width < 2 ** self.n_encoders:
             raise ConfigError("input too small for the encoder stride schedule")
+        for kind in filter(None, (self.neuron_kind, self.potential_kind)):
+            try:
+                self.neuron_config(kind)
+            except ConfigError as exc:  # its fields are the spec's (v_rest is v_reset)
+                raise ConfigError(str(exc).replace("NeuronConfig.", "NetworkSpec.")) from None
 
     @property
     def n_decoders(self):
@@ -87,12 +91,17 @@ class NetworkSpec:
         m = 2 ** self.n_encoders
         return (-(-self.height // m) * m, -(-self.width // m) * m)
 
-    def to_json(self):
-        return json.dumps(asdict(self))
+    @property
+    def potential_kind(self):
+        """The MP kind of the encoder and decoder potentials, None without them."""
+        if not self.potential_assisted:
+            return None
+        return "AMP_LIF" if self.amp_enabled else "MP_LIF"
 
-    @classmethod
-    def from_json(cls, text):
-        return config_from_dict(cls, json.loads(text), "spec JSON")
+    def neuron_config(self, kind):
+        """The NeuronConfig of this spec's neurons of `kind`; they rest at v_reset."""
+        return NeuronConfig(kind=kind, v_th=self.v_th, v_reset=self.v_reset,
+                            v_rest=self.v_reset, tau=self.tau)
 
 
 def skip_connect(kind, a, b):
@@ -161,28 +170,6 @@ def stage_table(spec):
     return rows
 
 
-def layer_geometry(spec):
-    """The weighted layers the energy model prices, in forward order.
-
-    One conv row per stage, followed by the depthwise conv and the linear
-    layer of the stage's AMP block when it has one; a decoder's AMP rows
-    sit on its upsampled output grid. Each row holds the stage's geometry
-    plus op ('conv' | 'dwconv' | 'linear'), snn (operates on binary
-    spikes) and mp (belongs to a membrane-potential branch).
-    """
-    layers = []
-    for g in stage_table(spec):
-        row = dict(asdict(g), op="conv", snn=True, mp=False)
-        layers.append(row)
-        if g.potential and spec.amp_enabled:
-            amp = dict(row, stride=1, upsample=False, snn=False, mp=True)
-            layers.append(dict(amp, name=f"{g.name}-amp-conv", op="dwconv", kernel=3,
-                               cin=g.cout))
-            layers.append(dict(amp, name=f"{g.name}-amp-linear", op="linear", kernel=1,
-                               cin=2 * g.cout, h_out=1, w_out=1))
-    return layers
-
-
 class ConvStage:
     """Conv (optionally preceded by nearest 2x upsample, fused into the
     conv) + batch norm."""
@@ -238,11 +225,6 @@ class ConvStage:
         self.has_bn = False
 
 
-def _neuron_cfg(spec, kind=None):
-    return NeuronConfig(kind=kind or spec.neuron_kind, v_th=spec.v_th,
-                        v_reset=spec.v_reset, v_rest=spec.v_reset, tau=spec.tau)
-
-
 @dataclass
 class Stage:
     """A built row of the stage table."""
@@ -279,16 +261,15 @@ class Network:
         hp, wp = spec.padded_size()
         self._pad = (hp - spec.height, wp - spec.width)
 
-        mp_kind = "AMP_LIF" if spec.amp_enabled else "MP_LIF"
         self.stages = []
         for g in stage_table(spec):
             # per stage the conv draws from `rng` before the AMP block does
             conv = ConvStage(g.name, g.cin, g.cout, g.kernel, g.stride, rng,
                              upsample=g.upsample, bn=g.role != "pred")
             neuron = (MPLayer(NeuronConfig(kind="MP_LIF", tau=2.0)) if g.role == "pred"
-                      else SpikingLayer(_neuron_cfg(spec)))
-            potential = (MPLayer(_neuron_cfg(spec, mp_kind), channels=g.cout, rng=rng)
-                         if g.potential else None)
+                      else SpikingLayer(spec.neuron_config(spec.neuron_kind)))
+            potential = (MPLayer(spec.neuron_config(spec.potential_kind), channels=g.cout,
+                                 rng=rng) if g.potential else None)
             self.stages.append(Stage(g, conv, neuron, potential))
         self._roles = {}
         self.neurons = {}  # state id -> neuron layer, in forward order
@@ -301,9 +282,6 @@ class Network:
     # -- bookkeeping ---------------------------------------------------------
     def _conv_stages(self):
         return [stage.conv for stage in self.stages]
-
-    def spiking_layer_ids(self):
-        return [stage.name for stage in self.stages if isinstance(stage.neuron, SpikingLayer)]
 
     def parameters(self):
         params = [p for conv in self._conv_stages() for p in conv.parameters()]
@@ -429,7 +407,7 @@ class Network:
 
     def save(self, path):
         ckpt.save_tensors(path, self.named_tensors(),
-                          meta={"spec": json.loads(self.spec.to_json())})
+                          meta={"spec": asdict(self.spec)})
 
     @classmethod
     def load(cls, path):

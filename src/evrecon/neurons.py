@@ -1,5 +1,5 @@
-"""Stateful neuron layers: IF/LIF/PLIF spiking neurons, their non-spiking
-membrane-potential (MP) counterparts, and the adaptive-tau AMP neuron.
+"""Stateful neuron layers: IF/LIF/PLIF spiking neurons, the non-spiking
+membrane-potential (MP_LIF) neuron, and its adaptive-tau AMP variant.
 
 Design choices:
 - Hard reset to v_reset; the reset gate is detached during backward so
@@ -16,10 +16,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types, check_finite
 
 SPIKING_KINDS = ("IF", "LIF", "PLIF")
-MP_KINDS = ("MP_IF", "MP_LIF", "MP_PLIF", "AMP_LIF")
+MP_KINDS = ("MP_LIF", "AMP_LIF")
 
 
 @dataclass
@@ -32,24 +32,28 @@ class NeuronConfig:
     plif_w: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in SPIKING_KINDS + MP_KINDS:
             raise ConfigError(f"unknown neuron kind {self.kind!r}")
+        check_finite(self, "v_th", "v_reset", "v_rest", "tau", "plif_w")
         if self.kind in ("LIF", "MP_LIF") and self.tau <= 1.0:
-            raise ConfigError(f"LIF-family tau must be > 1, got {self.tau}")
+            raise ConfigError(f"NeuronConfig.tau must be > 1 for {self.kind}, got {self.tau}")
+
+
+def _surrogate_den(x):
+    return 1.0 + np.pi ** 2 * x ** 2
 
 
 def surrogate_spike(x):
     """Heaviside forward (1 iff x >= 0) with arctan-surrogate backward."""
     x = ad.as_tensor(x)
     out = (x.data >= 0.0).astype(np.float64)
-    return ad.make_op(out, (x,),
-                      lambda g: (g / (1.0 + np.pi ** 2 * x.data ** 2),))
+    return ad.make_op(out, (x,), lambda g: (g / _surrogate_den(x.data),))
 
 
 def surrogate_grad(x):
     """The backward multiplier 1 / (1 + pi^2 x^2) as a plain array."""
-    x = np.asarray(x, dtype=np.float64)
-    return 1.0 / (1.0 + np.pi ** 2 * x ** 2)
+    return 1.0 / _surrogate_den(np.asarray(x, dtype=np.float64))
 
 
 def _fire_and_reset(v_charge, v_th, v_reset):
@@ -59,12 +63,17 @@ def _fire_and_reset(v_charge, v_th, v_reset):
     return spikes, v_new
 
 
+def _leaky_charge(v_prev, x, inv, v_rest):
+    """Charge toward rest plus input: v + inv * (-(v - v_rest) + x), inv = 1/tau."""
+    return v_prev + inv * (-(v_prev - v_rest) + x)
+
+
 def lif_step(v_prev, x, cfg):
     """One leaky integrate-and-fire step: charge, spike, hard reset."""
     if cfg.tau <= 0:
         raise ConfigError(f"tau must be > 0, got {cfg.tau}")
     v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
-    v_charge = v_prev + (1.0 / cfg.tau) * (-(v_prev - cfg.v_rest) + x)
+    v_charge = _leaky_charge(v_prev, x, 1.0 / cfg.tau, cfg.v_rest)
     return _fire_and_reset(v_charge, cfg.v_th, cfg.v_reset)
 
 
@@ -93,12 +102,6 @@ def mp_step(v_prev, x, tau):
             raise ConfigError(f"tau must be > 0, got {tau}")
         inv = 1.0 / tau
     v_new = (1.0 - inv) * v_prev + inv * x
-    return v_new, v_new
-
-
-def mp_if_step(v_prev, x):
-    """MP_IF: pure integration, no leak, no reset."""
-    v_new = ad.as_tensor(v_prev) + ad.as_tensor(x)
     return v_new, v_new
 
 
@@ -200,9 +203,8 @@ class SpikingLayer(NeuronLayer):
         elif self.cfg.kind == "LIF":
             spikes, v_new = lif_step(v_prev, x, self.cfg)
         else:
-            tau = plif_tau(self.plif_w)
-            inv = ad.pow(tau, -1.0)
-            v_charge = v_prev + inv * (-(v_prev - self.cfg.v_rest) + x)
+            inv = ad.pow(plif_tau(self.plif_w), -1.0)
+            v_charge = _leaky_charge(v_prev, x, inv, self.cfg.v_rest)
             spikes, v_new = _fire_and_reset(v_charge, self.cfg.v_th, self.cfg.v_reset)
         self.state = v_new
         return spikes
@@ -212,14 +214,13 @@ class SpikingLayer(NeuronLayer):
 
 
 class MPLayer(NeuronLayer):
-    """Non-spiking layer outputting its membrane potential."""
+    """Non-spiking layer outputting its membrane potential: MP_LIF with a
+    fixed tau, or AMP_LIF with tau recomputed from the layer's spikes."""
 
     def __init__(self, cfg, channels=None, rng=None):
         super().__init__(cfg)
         if cfg.kind not in MP_KINDS:
             raise ConfigError(f"not an MP kind: {cfg.kind}")
-        self.plif_w = (Tensor(cfg.plif_w, requires_grad=True)
-                       if cfg.kind == "MP_PLIF" else None)
         self.amp = None
         if cfg.kind == "AMP_LIF":
             if channels is None:
@@ -228,13 +229,8 @@ class MPLayer(NeuronLayer):
 
     def step(self, x, s_input=None):
         v_prev = self._prev(x)
-        kind = self.cfg.kind
-        if kind == "MP_IF":
-            out, v_new = mp_if_step(v_prev, x)
-        elif kind == "MP_LIF":
+        if self.amp is None:
             out, v_new = mp_step(v_prev, x, self.cfg.tau)
-        elif kind == "MP_PLIF":
-            out, v_new = mp_step(v_prev, x, plif_tau(self.plif_w))
         else:
             if s_input is None:
                 raise ContractError("AMP_LIF step needs the layer's spike tensor")
@@ -243,9 +239,4 @@ class MPLayer(NeuronLayer):
         return out
 
     def parameters(self):
-        params = []
-        if self.plif_w is not None:
-            params.append(self.plif_w)
-        if self.amp is not None:
-            params.extend(self.amp.tensors())
-        return params
+        return [] if self.amp is None else self.amp.tensors()

@@ -4,7 +4,6 @@ ground-truth frames and flow. `SceneConfig` and `SceneMeta` are the
 checked JSON forms of a scene to draw and of a drawn scene."""
 
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
@@ -76,22 +75,25 @@ def generate_events(scene):
     frames, flows = scene_frames(scene)
     c = scene.contrast
     ref = np.log(frames[0] + LOG_EPS)
-    records = []  # (t, x, y, p)
+    t, x, y, p = [], [], [], []  # one column block per step
     for s in range(1, len(frames)):
-        level = np.log(frames[s] + LOG_EPS)
-        delta = level - ref
+        delta = np.log(frames[s] + LOG_EPS) - ref
         n_cross = np.floor(np.abs(delta) / c).astype(int)
         ys, xs = np.nonzero(n_cross)
-        t_prev = (s - 1) * scene.dt
-        for y, x in zip(ys, xs):
-            d = delta[y, x]
-            sign = 1 if d > 0 else -1
-            for k in range(1, n_cross[y, x] + 1):
-                frac = (k * c) / abs(d)
-                records.append((t_prev + frac * scene.dt, int(x), int(y), sign))
+        n = n_cross[ys, xs]
+        d = np.repeat(delta[ys, xs], n)
+        k = np.arange(1, d.size + 1) - np.repeat(np.cumsum(n) - n, n)  # 1..n per pixel
+        t.append((s - 1) * scene.dt + (k * c) / np.abs(d) * scene.dt)
+        x.append(np.repeat(xs, n))
+        y.append(np.repeat(ys, n))
+        p.append(np.where(d > 0, 1, -1))
         ref += np.sign(delta) * n_cross * c
-    records.sort(key=lambda r: r[0])
-    events = list(starmap(Event, records))
+    if not t:
+        return [], frames, flows
+    order = np.argsort(np.concatenate(t), kind="stable")
+    columns = [np.concatenate(col)[order] for col in (t, x, y, p)]
+    # t stays a numpy float, x, y and p become Python ints, as the per-crossing loop gave
+    events = list(map(Event, columns[0], *(col.tolist() for col in columns[1:])))
     return events, frames, flows
 
 

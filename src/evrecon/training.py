@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import quality
 from .autodiff import Tensor
-from .errors import ConfigError, DivergenceError, ShapeError, check_field_types
+from .errors import ConfigError, DivergenceError, ShapeError, check_field_types, check_finite
 from .events import EventWindow, encode_voxel_grid, normalize_nonzero, slice_temporal_bins
 from .model import spike_rate
 from .synthetic import generate_events
@@ -35,8 +35,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lr", "epochs", "batch", "loss_every", "seq_len", "bins_per_window"):
-            if getattr(self, name) <= 0 and name != "lr":
+        check_finite(self, "lr", "lambda_tc")
+        for name in ("epochs", "batch", "loss_every", "seq_len", "bins_per_window"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.lr < 0 or self.lambda_tc < 0 or self.l0 < 0:
             raise ConfigError("lr, lambda_tc, and l0 must be non-negative")

@@ -65,6 +65,7 @@ def test_criterion_2_parameter_counts(capfd):
     _report(capfd, 2, "parameter-count cross-check", elapsed, 10)
 
 
+@pytest.mark.slow
 def test_criterion_3_toy_overfit(capfd):
     t0 = time.monotonic()
     scene = random_scene(32, 32, 41, np.random.default_rng(42), contrast=0.1)

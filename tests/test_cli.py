@@ -136,6 +136,15 @@ class TestVoxelize:
         assert rc == 1
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window_ms", ["nan", "inf", "0", "-5"])
+    def test_window_ms_must_be_positive_and_finite(self, sim_dir, tmp_path, capsys, window_ms):
+        # nan escaped as a raw ValueError traceback before
+        rc = main(["voxelize", "--events", str(sim_dir / "events.txt"),
+                   "--out", str(tmp_path / "g.spkt"), "--window-ms", window_ms])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window duration must be positive and finite")
+
     def test_non_utf8_event_file_fails(self, tmp_path, capsys):
         events = tmp_path / "events.txt"
         events.write_bytes(b"# 4 4\n0.1 1 1 1\n0.2 1 1 \xe9\n")
@@ -236,6 +245,37 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data / 'meta.json'}: ") and field in err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"height": 16, "width": 16, "tau": NaN}', "NetworkSpec.tau must be finite"),
+        ('{"height": 16, "width": 16, "v_th": NaN}', "NetworkSpec.v_th must be finite"),
+        ('{"height": 16, "width": 16, "v_reset": NaN}', "NetworkSpec.v_reset must be finite"),
+        ('{"height": 16, "width": 16, "tau": Infinity}', "NetworkSpec.tau must be finite"),
+        ('{"height": 16, "width": 16, "tau": 0.5}', "NetworkSpec.tau must be > 1 for LIF"),
+    ])
+    def test_bad_neuron_value_in_spec_names_the_file_and_field(self, sim_dir, tmp_path, capsys,
+                                                              text, field):
+        # accepted before: NaN or inf gave all-zero reconstructions, and tau 0.5
+        # failed only when the network was built, naming neither file nor field
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--epochs", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: {field}")
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"lr": NaN}', "lr"), ('{"lr": Infinity}', "lr"),
+        ('{"lambda_tc": NaN}', "lambda_tc"), ('{"lambda_tc": -Infinity}', "lambda_tc")])
+    def test_non_finite_train_value_names_the_file_and_field(self, sim_dir, tmp_path, capsys,
+                                                            text, field):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        tc = tmp_path / "train.json"
+        tc.write_text(text)
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--train-config", str(tc), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tc}: TrainConfig.{field} must be finite")
+
     def test_seed_in_train_config_is_unknown(self, sim_dir, tmp_path, capsys):
         # `--seed` sets the seed; a "seed" in train.json was silently ignored
         spec = tmp_path / "spec.json"
@@ -297,6 +337,19 @@ class TestProbe:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gt_0000.pgm" in err
+
+    def test_ground_truth_directory_without_frames_fails(self, sim_dir, trained_dir,
+                                                         tmp_path, capsys):
+        # empty mse/ssim columns were written silently before
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        rc = main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                   "--events", str(sim_dir / "events.txt"), "--cutoff", "2",
+                   "--gt", str(gt), "--out", str(tmp_path), "--bins", "1",
+                   "--window-ms", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {gt}: no gt_*.pgm files to score against\n"
+        assert not (tmp_path / "probe.csv").exists()
 
 
 class TestProfile:

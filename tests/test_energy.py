@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from evrecon.energy import (E_ADD, E_MAC, PUBLISHED, ann_snn_ratio,
+from evrecon.energy import (E_ADD, E_MAC, PUBLISHED, LayerOpCount, ann_snn_ratio,
                             count_ann_ops, energy_from_totals, estimate_energy,
                             format_report, measure_spike_rates)
 from evrecon.errors import ConfigError
@@ -35,6 +35,15 @@ class TestOpCounting:
         # every conv of the fully-spiking variant consumes binary spikes
         for c in count_ann_ops(tiny_spec()):
             assert c.is_snn and not c.is_mp
+
+    def test_one_flag_per_row(self):
+        # a row is either spike-driven or a membrane-potential branch layer
+        assert [f.name for f in fields(LayerOpCount)] == ["layer", "op_ann", "is_snn"]
+        counts = count_ann_ops(tiny_spec(potential_assisted=True, amp_enabled=True))
+        assert {c.is_snn for c in counts} == {True, False}
+        assert all(c.is_mp == (not c.is_snn) for c in counts)
+        with pytest.raises(AttributeError):
+            counts[0].is_mp = True
 
     def test_resolution_override(self):
         base = sum(c.op_ann for c in count_ann_ops(tiny_spec()))
@@ -157,3 +166,9 @@ class TestSpikeRates:
         report = estimate_energy(counts, {c.layer: 0.25 for c in counts})
         text = format_report(counts, report, {c.layer: 0.25 for c in counts})
         assert "total" in text and "head" in text
+
+    def test_format_report_labels_snn_and_mp_rows(self):
+        counts = count_ann_ops(tiny_spec(potential_assisted=True, amp_enabled=True))
+        text = format_report(counts, estimate_energy(counts, {}))
+        kinds = {line.split()[0]: line.split()[1] for line in text.splitlines()[1:len(counts) + 1]}
+        assert kinds == {c.layer: "SNN" if c.is_snn else "MP" for c in counts}

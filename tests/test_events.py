@@ -357,6 +357,17 @@ class TestWindowing:
     def test_empty_stream(self):
         assert split_windows([], 4, 4, duration=0.1) == []
 
+    @pytest.mark.parametrize("duration", [0.0, -0.1, float("nan"), float("inf")])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        for events in (make_events([0.0, 0.1]), []):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                split_windows(events, 4, 4, duration=duration)
+
+    def test_count_must_be_positive_even_for_an_empty_stream(self):
+        for events in (make_events([0.0, 0.1]), []):
+            with pytest.raises(ConfigError, match="window count must be >= 1"):
+                split_windows(events, 4, 4, count=0)
+
 
 def brute_force_voxel(window, n_bins):
     """Direct per-event evaluation of the triangular deposit."""

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from evrecon import checkpoint
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ParseError, ShapeError
-from evrecon.model import (Network, NetworkSpec, layer_geometry, skip_connect, spike_rate,
-                           stage_table)
+from evrecon.energy import count_ann_ops
+from evrecon.errors import config_from_dict
+from evrecon.model import Network, NetworkSpec, skip_connect, spike_rate, stage_table
 from evrecon.neurons import SpikingLayer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,7 +77,7 @@ class TestSpec:
 
     def test_json_roundtrip(self):
         spec = tiny_spec(skip_kind="OR", potential_assisted=True, amp_enabled=True)
-        again = NetworkSpec.from_json(spec.to_json())
+        again = config_from_dict(NetworkSpec, json.loads(json.dumps(asdict(spec))), "spec JSON")
         assert again == spec
 
     def test_invalid_values(self):
@@ -105,28 +107,44 @@ class TestSpec:
     def test_int_accepted_for_float_fields(self):
         assert tiny_spec(tau=2, v_th=1).tau == 2
 
+    @pytest.mark.parametrize("field", ["tau", "v_th", "v_reset"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_neuron_value_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"NetworkSpec.{field} must be finite"):
+            tiny_spec(**{field: value})
+
+    def test_tau_checked_for_every_neuron_the_network_builds(self):
+        with pytest.raises(ConfigError, match="NetworkSpec.tau must be > 1 for LIF"):
+            tiny_spec(tau=0.5)
+        with pytest.raises(ConfigError, match="NetworkSpec.tau must be > 1 for MP_LIF"):
+            tiny_spec(neuron_kind="IF", potential_assisted=True, tau=0.5)
+        # IF and PLIF neurons and AMP potentials do not use tau
+        for kw in (dict(neuron_kind="IF"), dict(neuron_kind="PLIF"),
+                   dict(neuron_kind="IF", potential_assisted=True, amp_enabled=True)):
+            Network(tiny_spec(tau=0.5, **kw), seed=0)
+
 
 class TestGeometry:
     def test_encoder_channel_doubling(self):
-        geo = {g["name"]: g for g in layer_geometry(tiny_spec(n_channels=8))}
-        assert geo["head"]["cout"] == 8
-        assert geo["down1"]["cout"] == 16
-        assert geo["down2"]["cout"] == 32
+        geo = {g.name: g for g in stage_table(tiny_spec(n_channels=8))}
+        assert geo["head"].cout == 8
+        assert geo["down1"].cout == 16
+        assert geo["down2"].cout == 32
 
     def test_spatial_halving_and_restore(self):
-        geo = {g["name"]: g for g in layer_geometry(tiny_spec())}
-        assert (geo["down1"]["h_out"], geo["down2"]["h_out"]) == (8, 4)
-        assert geo["up2"]["h_out"] == 16  # decoders restore full resolution
+        geo = {g.name: g for g in stage_table(tiny_spec())}
+        assert (geo["down1"].h_out, geo["down2"].h_out) == (8, 4)
+        assert geo["up2"].h_out == 16  # decoders restore full resolution
 
     def test_concat_doubles_decoder_cin(self):
-        geo_c = {g["name"]: g for g in layer_geometry(tiny_spec(skip_kind="CONCAT"))}
-        geo_a = {g["name"]: g for g in layer_geometry(tiny_spec(skip_kind="ADD"))}
-        assert geo_c["up1"]["cin"] == 2 * geo_a["up1"]["cin"]
+        geo_c = {g.name: g for g in stage_table(tiny_spec(skip_kind="CONCAT"))}
+        geo_a = {g.name: g for g in stage_table(tiny_spec(skip_kind="ADD"))}
+        assert geo_c["up1"].cin == 2 * geo_a["up1"].cin
 
     def test_amp_layers_present_only_when_enabled(self):
-        names_plain = {g["name"] for g in layer_geometry(tiny_spec())}
-        names_amp = {g["name"] for g in
-                     layer_geometry(tiny_spec(potential_assisted=True, amp_enabled=True))}
+        names_plain = {c.layer for c in count_ann_ops(tiny_spec())}
+        names_amp = {c.layer for c in
+                     count_ann_ops(tiny_spec(potential_assisted=True, amp_enabled=True))}
         assert not any("amp" in n for n in names_plain)
         assert "down1-amp-conv" in names_amp and "up1-amp-linear" in names_amp
 
@@ -143,7 +161,8 @@ class TestStageTable:
         table = stage_table(spec)
         assert [s.geom for s in net.stages] == table
         assert [c.name for c in net._conv_stages()] == [g.name for g in table]
-        assert net.spiking_layer_ids() == [g.name for g in table[:-1]]
+        assert [s.name for s in net.stages if isinstance(s.neuron, SpikingLayer)] == [
+            g.name for g in table if g.name != "pred"]
         assert list(net.get_state()) == [
             "head", "down1", "down1-mp", "down2", "down2-mp", "res1-1", "res1-2",
             "up1", "up1-mp", "up2", "up2-mp", "pred"]
@@ -155,14 +174,22 @@ class TestStageTable:
         net = Network(tiny_spec(potential_assisted=True), seed=0)
         spike_counts = {}
         net.forward_step(np.zeros((16, 16)), spike_counts)
-        assert list(spike_counts) == net.spiking_layer_ids()
+        assert list(spike_counts) == [s.name for s in net.stages if s.name != "pred"]
 
     def test_energy_rows_follow_the_table(self):
         spec = tiny_spec(potential_assisted=True, amp_enabled=True)
-        conv_rows = [g for g in layer_geometry(spec) if g["op"] == "conv"]
-        assert [r["name"] for r in conv_rows] == [g.name for g in stage_table(spec)]
-        amp = {g["name"]: g for g in layer_geometry(spec) if g["op"] == "dwconv"}
-        assert amp["up2-amp-conv"]["h_out"] == 16  # priced on the upsampled grid
+        table = {g.name: g for g in stage_table(spec)}
+        rows = count_ann_ops(spec)
+        assert [c.layer for c in rows if c.is_snn] == list(table)
+        assert [c.layer for c in rows if c.is_mp] == [
+            f"{name}-amp-{op}" for name in ("down1", "down2", "up1", "up2")
+            for op in ("conv", "linear")]
+        ops = {c.layer: c.op_ann for c in rows}
+        up2 = table["up2"]
+        assert (up2.h_out, up2.w_out) == (16, 16)
+        assert ops["up2"] == 5 * 5 * up2.cin * 16 * 16 * up2.cout  # on the upsampled grid
+        assert ops["up2-amp-conv"] == 3 * 3 * 16 * 16 * up2.cout  # priced on the upsampled grid
+        assert ops["up2-amp-linear"] == 2 * up2.cout * up2.cout
 
 
 class TestParameterCounts:
@@ -249,7 +276,7 @@ class TestForward:
         spike_counts = {}
         for _ in range(3):
             net.forward_step(rng.standard_normal((2, 1, 16, 16)) * 2, spike_counts)
-        assert list(spike_counts) == net.spiking_layer_ids()
+        assert list(spike_counts) == [s.name for s in net.stages if s.name != "pred"]
         for stage in net.stages[:-1]:
             outputs = fired[id(stage.neuron)]
             assert len(outputs) == 3
@@ -360,13 +387,13 @@ class TestCheckpointIO:
         tensors = net.named_tensors()
         del tensors["down1.w"]
         path = tmp_path / "partial.spkt"
-        checkpoint.save_tensors(path, tensors, meta={"spec": json.loads(net.spec.to_json())})
+        checkpoint.save_tensors(path, tensors, meta={"spec": asdict(net.spec)})
         with pytest.raises(ParseError, match=r"partial\.spkt.*'down1\.w'"):
             Network.load(path)
 
     def test_unknown_spec_key_in_meta(self, tmp_path):
         net = Network(tiny_spec(), seed=0)
-        meta = {"spec": dict(json.loads(net.spec.to_json()), chanels=8)}
+        meta = {"spec": dict(asdict(net.spec), chanels=8)}
         path = tmp_path / "typo.spkt"
         checkpoint.save_tensors(path, net.named_tensors(), meta=meta)
         with pytest.raises(ConfigError, match="chanels"):

@@ -6,7 +6,7 @@ from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ContractError
 from evrecon.neurons import (AmpBlockParams, MPLayer, NeuronConfig,
                              SpikingLayer, amp_compute_tau, amp_lif_step,
-                             if_step, lif_step, mp_if_step, mp_step, plif_tau,
+                             if_step, lif_step, mp_step, plif_tau,
                              surrogate_grad, surrogate_spike)
 
 
@@ -113,12 +113,6 @@ class TestMP:
         assert v.item() == 0.5
         assert out.item() == v.item()  # the output is the potential itself
 
-    def test_mp_if_is_pure_sum(self):
-        v = Tensor(np.array(0.0))
-        for x in [0.1, 0.2, 0.3]:
-            _, v = mp_if_step(v, Tensor(np.array(x)))
-        assert v.item() == pytest.approx(0.6, abs=1e-15)
-
     def test_never_spikes_never_resets(self):
         # large input: a membrane-potential neuron keeps its analog value
         out, v = mp_step(Tensor(np.array(0.0)), Tensor(np.array(100.0)), 2.0)
@@ -155,6 +149,12 @@ class TestSurrogate:
         surrogate_spike(x - 1.0).sum().backward()
         expect = 1.0 / (1.0 + np.pi ** 2 * 0.49)
         assert x.grad[0] == pytest.approx(expect, abs=1e-15)
+
+    def test_backward_equals_surrogate_grad(self):
+        xs = np.linspace(-3.0, 3.0, 41)
+        x = Tensor(xs, requires_grad=True)
+        surrogate_spike(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, surrogate_grad(xs))
 
     def test_reset_path_detached(self):
         # the reset gate must not contribute a second gradient path:
@@ -239,6 +239,15 @@ class TestLayers:
         np.testing.assert_array_equal(out.data, layer.state.data)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 2.0))
 
+    def test_mp_layer_parameters_are_the_amp_block(self):
+        assert MPLayer(NeuronConfig(kind="MP_LIF")).parameters() == []
+        layer = MPLayer(NeuronConfig(kind="AMP_LIF"), channels=3, rng=np.random.default_rng(0))
+        assert layer.parameters() == layer.amp.tensors()
+
+    def test_mp_layer_rejects_spiking_kinds(self):
+        with pytest.raises(ConfigError, match="not an MP kind"):
+            MPLayer(NeuronConfig(kind="LIF"))
+
     def test_detach_state_cuts_graph(self):
         layer = SpikingLayer(NeuronConfig(kind="LIF"))
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
@@ -249,8 +258,20 @@ class TestLayers:
 
 class TestConfigValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            NeuronConfig(kind="GRU")
+        for kind in ("GRU", "MP_IF", "MP_PLIF"):  # no network builds MP_IF or MP_PLIF
+            with pytest.raises(ConfigError, match="unknown neuron kind"):
+                NeuronConfig(kind=kind)
+
+    @pytest.mark.parametrize("kind", ["IF", "MP_LIF"])
+    @pytest.mark.parametrize("field", ["v_th", "v_reset", "v_rest", "tau", "plif_w"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+    def test_non_finite_value_names_field(self, kind, field, value):
+        with pytest.raises(ConfigError, match=f"NeuronConfig.{field} must be finite"):
+            NeuronConfig(kind=kind, **{field: value})
+
+    def test_wrong_type_names_field(self):
+        with pytest.raises(ConfigError, match="NeuronConfig.tau must be float"):
+            NeuronConfig(kind="LIF", tau="2")
 
     @pytest.mark.parametrize("tau", [1.0, 0.5, 0.0, -2.0])
     def test_tau_must_exceed_one(self, tau):

@@ -2,8 +2,33 @@ import numpy as np
 import pytest
 
 from evrecon.errors import ConfigError
+from evrecon.events import Event
 from evrecon.synthetic import (LOG_EPS, SyntheticScene, generate_events,
                                random_scene, scene_frames)
+
+
+def oracle_generate_events(scene):
+    """The per-crossing loop `generate_events` replaced, kept as its oracle:
+    one (t, x, y, p) tuple per threshold crossing, then a stable sort by t."""
+    frames, flows = scene_frames(scene)
+    c = scene.contrast
+    ref = np.log(frames[0] + LOG_EPS)
+    records = []
+    for s in range(1, len(frames)):
+        level = np.log(frames[s] + LOG_EPS)
+        delta = level - ref
+        n_cross = np.floor(np.abs(delta) / c).astype(int)
+        ys, xs = np.nonzero(n_cross)
+        t_prev = (s - 1) * scene.dt
+        for y, x in zip(ys, xs):
+            d = delta[y, x]
+            sign = 1 if d > 0 else -1
+            for k in range(1, n_cross[y, x] + 1):
+                frac = (k * c) / abs(d)
+                records.append((t_prev + frac * scene.dt, int(x), int(y), sign))
+        ref += np.sign(delta) * n_cross * c
+    records.sort(key=lambda r: r[0])
+    return [Event(*r) for r in records], frames, flows
 
 
 def static_scene(h=8, w=8, steps=4, **kw):
@@ -123,3 +148,32 @@ class TestEventGeneration:
         for e in events:
             step = int(np.ceil(e.t / scene.dt - 1e-12))
             assert (step - 1) * scene.dt < e.t <= step * scene.dt + 1e-12
+
+
+class TestGenerateEventsOracle:
+    @pytest.mark.parametrize("scene", [
+        pytest.param(random_scene(32, 32, 41, np.random.default_rng(3), contrast=0.1),
+                     id="toy-32x32"),
+        pytest.param(random_scene(24, 40, 6, np.random.default_rng(4), max_shift=3),
+                     id="24x40-fast"),
+        pytest.param(SyntheticScene(texture=np.linspace(0, 1, 48).reshape(6, 8) ** 3,
+                                    trajectory=[(1, -2), (0, 1), (-3, 0)], contrast=0.05,
+                                    dt=0.003), id="ramp-low-contrast"),
+        pytest.param(SyntheticScene(texture=np.full((8, 8), 0.5), trajectory=[(1, 1)] * 3),
+                     id="flat-no-events"),
+        pytest.param(SyntheticScene(texture=np.eye(4), trajectory=[]), id="one-frame"),
+    ])
+    def test_same_events_values_types_and_order(self, scene):
+        events, frames, flows = generate_events(scene)
+        expected, exp_frames, exp_flows = oracle_generate_events(scene)
+        assert len(events) == len(expected)
+        assert events == expected
+        assert [tuple(map(type, e)) for e in events] == [tuple(map(type, e)) for e in expected]
+        assert all(a.t.hex() == b.t.hex() for a, b in zip(events, expected))  # bitwise times
+        assert flows == exp_flows
+        for f, g in zip(frames, exp_frames, strict=True):
+            np.testing.assert_array_equal(f, g)
+
+    def test_flat_texture_emits_nothing(self):
+        scene = SyntheticScene(texture=np.full((8, 8), 0.5), trajectory=[(1, 1)] * 3)
+        assert generate_events(scene)[0] == []

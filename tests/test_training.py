@@ -40,6 +40,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr", "lambda_tc"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    def test_non_finite_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"TrainConfig.{field} must be finite"):
+            TrainConfig(**{field: value})
+
 
 class TestReconstructionLoss:
     def test_perfect_prediction_near_zero(self):
