@@ -7,9 +7,8 @@ import pytest
 
 from evrecon import checkpoint
 from evrecon.autodiff import Tensor
-from evrecon.errors import ConfigError, ParseError, ShapeError
 from evrecon.energy import count_ann_ops
-from evrecon.errors import config_from_dict
+from evrecon.errors import ConfigError, ParseError, ShapeError, config_from_dict
 from evrecon.model import Network, NetworkSpec, skip_connect, spike_rate, stage_table
 from evrecon.neurons import SpikingLayer
 
@@ -187,8 +186,9 @@ class TestStageTable:
         ops = {c.layer: c.op_ann for c in rows}
         up2 = table["up2"]
         assert (up2.h_out, up2.w_out) == (16, 16)
-        assert ops["up2"] == 5 * 5 * up2.cin * 16 * 16 * up2.cout  # on the upsampled grid
-        assert ops["up2-amp-conv"] == 3 * 3 * 16 * 16 * up2.cout  # priced on the upsampled grid
+        # a decoder and its AMP block are priced on the upsampled grid
+        assert ops["up2"] == 5 * 5 * up2.cin * 16 * 16 * up2.cout
+        assert ops["up2-amp-conv"] == 3 * 3 * 16 * 16 * up2.cout
         assert ops["up2-amp-linear"] == 2 * up2.cout * up2.cout
 
 
