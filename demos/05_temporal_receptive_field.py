@@ -50,7 +50,7 @@ print(f"  (expected ratio: 1 - 1/tau = {1 - 1 / spec.tau})")
 # Case 2: the limitation. Nonzero BN shifts act like a constant input
 # current, so neurons keep firing long after the events stop.
 net2 = Network(spec, seed=0)
-for stage in net2._conv_stages():
+for stage in net2.stages:
     if stage.has_bn:
         stage.beta.data[:] = rng.uniform(0.5, 1.5, stage.beta.shape)
 

@@ -587,10 +587,10 @@ def global_max_pool(x):
 
 
 BN_EPS = 1e-5  # batch norm's variance offset, also used when folding it into a conv
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running buffers
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var,
-                 training, momentum=0.1, eps=BN_EPS):
+def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch norm over (N,H,W).
 
     Train mode normalizes with batch statistics and updates the running
@@ -605,14 +605,14 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var,
         var = tmean(pow(sub(x, mu), 2.0), axis=(0, 2, 3), keepdims=True)
         cnt = n * h * w
         corr = cnt / (cnt - 1) if cnt > 1 else 1.0
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.ravel()
-        running_var *= 1.0 - momentum
-        running_var += momentum * corr * var.data.ravel()
-        xhat = mul(sub(x, mu), pow(add(var, eps), -0.5))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu.data.ravel()
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * corr * var.data.ravel()
+        xhat = mul(sub(x, mu), pow(add(var, BN_EPS), -0.5))
     else:
         mu = running_mean.reshape(gshape)
-        inv = 1.0 / np.sqrt(running_var.reshape(gshape) + eps)
+        inv = 1.0 / np.sqrt(running_var.reshape(gshape) + BN_EPS)
         xhat = mul(sub(x, mu), inv)
     return add(mul(xhat, reshape(gamma, gshape)), reshape(beta, gshape))
 
@@ -622,12 +622,11 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var,
 class Adam:
     """Standard bias-corrected Adam over a list of parameter Tensors."""
 
-    def __init__(self, params, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -653,11 +652,12 @@ class Adam:
 
 # -- gradient checking -------------------------------------------------------
 
-def finite_difference_check(f, x, h=1e-3):
+def finite_difference_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
     `f` maps a Tensor to a scalar Tensor and must be smooth at `x`.
     """
+    h = 1e-3  # the central-difference step
     x = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64),
                requires_grad=True)
     out = f(x)

@@ -76,13 +76,14 @@ def _windows(events, sensor, args):
     raise ConfigError("give --window-ms or --window-count")
 
 
-def _events_to_bins(events, sensor, args):
-    windows = _windows(events, sensor, args)
+def _network_bins(args, spec):
+    """The normalized bins of `--events` for a network of `spec`; a file
+    without a size header is taken to be the spec's size."""
+    events, sensor = load_events(args.events)
     bins = []
-    for window in windows:
-        grid = normalize_nonzero(encode_voxel_grid(window, args.bins))
-        bins.extend(slice_temporal_bins(grid))
-    return bins, windows
+    for window in _windows(events, sensor or (spec.height, spec.width), args):
+        bins.extend(slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, args.bins))))
+    return bins
 
 
 # -- commands ----------------------------------------------------------------
@@ -152,11 +153,7 @@ def cmd_reconstruct(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = Network.load(args.checkpoint)
-    events, sensor = load_events(args.events)
-    if sensor is None:
-        sensor = (net.spec.height, net.spec.width)
-    bins, _ = _events_to_bins(events, sensor, args)
-    images = net.forward_sequence(bins)
+    images = net.forward_sequence(_network_bins(args, net.spec))
     for i, img in enumerate(images):
         write_pgm(out / f"recon_{i:04d}.pgm", quality.histogram_normalize(img).data)
     print(f"wrote {len(images)} reconstructions to {out}")
@@ -167,13 +164,8 @@ def cmd_probe(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = Network.load(args.checkpoint)
-    events, sensor = load_events(args.events)
-    if sensor is None:
-        sensor = (net.spec.height, net.spec.width)
-    bins, _ = _events_to_bins(events, sensor, args)
-    h, w = sensor
-    empty = np.zeros((h, w))
-    feed = [b if i < args.cutoff else empty for i, b in enumerate(bins)]
+    feed = [b if i < args.cutoff else np.zeros_like(b)
+            for i, b in enumerate(_network_bins(args, net.spec))]
     gt_frames = None
     if args.gt:
         gt_dir = Path(args.gt)
@@ -234,11 +226,8 @@ def cmd_profile(args):
     stats = None
     empty_rate = None
     if args.events:
-        events, sensor = load_events(args.events)
-        if sensor is None:
-            sensor = (spec.height, spec.width)
-        bins, _ = _events_to_bins(events, sensor, args)
-        stats = energy_mod.measure_spike_rates(net, [bins], op_counts=counts)
+        stats = energy_mod.measure_spike_rates(net, [_network_bins(args, spec)],
+                                               op_counts=counts)
         empty_bins = [np.zeros((spec.height, spec.width))] * 10
         empty_stats = energy_mod.measure_spike_rates(net, [empty_bins], op_counts=counts)
         empty_rate = empty_stats.overall_neuron_weighted

@@ -4,7 +4,7 @@
 (the conv head, the stride-2 encoders `down{i}`, the residual halves
 `res{r}-1`/`res{r}-2`, the upsampling decoders `up{j}` and the prediction
 layer `pred`), each with its kernel, stride, channels and output grid.
-`Network` builds one `Stage` per row (conv + batch norm, its neuron and an
+`Network` builds one `ConvStage` per row (its conv, batch norm, neuron and
 optional potential neuron) and derives everything else from that list:
 parameters, recurrent state ids, checkpoint tensor names and the layer ids
 of a spike tally; the energy model prices its rows (`energy.count_ann_ops`).
@@ -82,10 +82,6 @@ class NetworkSpec:
             except ConfigError as exc:  # its fields are the spec's (v_rest is v_reset)
                 raise ConfigError(str(exc).replace("NeuronConfig.", "NetworkSpec.")) from None
 
-    @property
-    def n_decoders(self):
-        return self.n_encoders
-
     def padded_size(self):
         """Spatial size rounded up to a multiple of the total stride."""
         m = 2 ** self.n_encoders
@@ -160,7 +156,7 @@ def stage_table(spec):
             rows.append(StageGeometry(f"res{r}-{half}", "res", spec.residual_kernel, 1,
                                       c_mid, c_mid, h, w))
     skip_factor = 2 if spec.skip_kind == "CONCAT" else 1
-    for j in range(1, spec.n_decoders + 1):
+    for j in range(1, spec.n_encoders + 1):
         h, w = h * 2, w * 2
         cout = nc * 2 ** (spec.n_encoders - j)
         rows.append(StageGeometry(f"up{j}", "up", spec.decoder_kernel, 1,
@@ -171,49 +167,56 @@ def stage_table(spec):
 
 
 class ConvStage:
-    """Conv (optionally preceded by nearest 2x upsample, fused into the
-    conv) + batch norm."""
+    """One built row of the stage table: a conv (a decoder's nearest 2x
+    upsample fused into it), batch norm on every stage but `pred`, its
+    neuron (spiking, or the MP_LIF output layer of `pred`) and, on rows
+    with `potential`, an MP/AMP potential neuron."""
 
-    def __init__(self, name, cin, cout, k, stride, rng, upsample=False, bn=True):
-        self.name = name
-        self.stride = stride
-        self.padding = k // 2
-        self.upsample = upsample
-        scale = 1.0 / np.sqrt(cin * k * k)
-        self.w = Tensor(rng.uniform(-scale, scale, (cout, cin, k, k)),
+    def __init__(self, geom, spec, rng):
+        self.geom = geom
+        k, cout = geom.kernel, geom.cout
+        scale = 1.0 / np.sqrt(geom.cin * k * k)
+        self.w = Tensor(rng.uniform(-scale, scale, (cout, geom.cin, k, k)),
                         requires_grad=True)
         self.b = Tensor(np.zeros(cout), requires_grad=True)
-        self.has_bn = bn
-        if bn:
+        self.has_bn = geom.role != "pred"
+        if self.has_bn:
             self.gamma = Tensor(np.ones(cout), requires_grad=True)
             self.beta = Tensor(np.zeros(cout), requires_grad=True)
             self.running_mean = np.zeros(cout)
             self.running_var = np.ones(cout)
+        self.neuron = (MPLayer(NeuronConfig(kind="MP_LIF", tau=2.0)) if geom.role == "pred"
+                       else SpikingLayer(spec.neuron_config(spec.neuron_kind)))
+        # the AMP block draws from `rng` after the conv
+        self.potential = (MPLayer(spec.neuron_config(spec.potential_kind), channels=cout,
+                                  rng=rng) if geom.potential else None)
+
+    @property
+    def name(self):
+        return self.geom.name
 
     def forward(self, x, training):
-        if self.upsample:
+        """Conv + batch norm."""
+        if self.geom.upsample:
             u = ad.upsample2x_conv2d(x, self.w, self.b)
         else:
-            u = ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+            u = ad.conv2d(x, self.w, self.b, stride=self.geom.stride,
+                          padding=self.geom.kernel // 2)
         if self.has_bn:
             u = ad.batch_norm2d(u, self.gamma, self.beta,
                                 self.running_mean, self.running_var, training)
         return u
 
     def parameters(self):
-        params = [self.w, self.b]
-        if self.has_bn:
-            params += [self.gamma, self.beta]
-        return params
+        """The conv and batch-norm parameters; the neurons' are the network's."""
+        return [self.w, self.b] + ([self.gamma, self.beta] if self.has_bn else [])
 
     def named_tensors(self):
-        out = {f"{self.name}.w": self.w.data, f"{self.name}.b": self.b.data}
+        out = {"w": self.w.data, "b": self.b.data}
         if self.has_bn:
-            out[f"{self.name}.gamma"] = self.gamma.data
-            out[f"{self.name}.beta"] = self.beta.data
-            out[f"{self.name}.running_mean"] = self.running_mean
-            out[f"{self.name}.running_var"] = self.running_var
-        return out
+            out.update(gamma=self.gamma.data, beta=self.beta.data,
+                       running_mean=self.running_mean, running_var=self.running_var)
+        return {f"{self.name}.{key}": array for key, array in out.items()}
 
     def fold_bn(self):
         """Fold batch-norm statistics into the conv weights and disable it."""
@@ -223,20 +226,6 @@ class ConvStage:
         self.w.data *= inv[:, None, None, None]
         self.b.data = (self.b.data - self.running_mean) * inv + self.beta.data
         self.has_bn = False
-
-
-@dataclass
-class Stage:
-    """A built row of the stage table."""
-
-    geom: StageGeometry
-    conv: ConvStage
-    neuron: object           # SpikingLayer; the MP_LIF output layer for `pred`
-    potential: object = None  # MPLayer on PA-EVSNN encoders and decoders
-
-    @property
-    def name(self):
-        return self.geom.name
 
 
 def _with_potential(x, potential):
@@ -261,16 +250,7 @@ class Network:
         hp, wp = spec.padded_size()
         self._pad = (hp - spec.height, wp - spec.width)
 
-        self.stages = []
-        for g in stage_table(spec):
-            # per stage the conv draws from `rng` before the AMP block does
-            conv = ConvStage(g.name, g.cin, g.cout, g.kernel, g.stride, rng,
-                             upsample=g.upsample, bn=g.role != "pred")
-            neuron = (MPLayer(NeuronConfig(kind="MP_LIF", tau=2.0)) if g.role == "pred"
-                      else SpikingLayer(spec.neuron_config(spec.neuron_kind)))
-            potential = (MPLayer(spec.neuron_config(spec.potential_kind), channels=g.cout,
-                                 rng=rng) if g.potential else None)
-            self.stages.append(Stage(g, conv, neuron, potential))
+        self.stages = [ConvStage(g, spec, rng) for g in stage_table(spec)]
         self._roles = {}
         self.neurons = {}  # state id -> neuron layer, in forward order
         for stage in self.stages:
@@ -280,11 +260,8 @@ class Network:
                 self.neurons[f"{stage.name}-mp"] = stage.potential
 
     # -- bookkeeping ---------------------------------------------------------
-    def _conv_stages(self):
-        return [stage.conv for stage in self.stages]
-
     def parameters(self):
-        params = [p for conv in self._conv_stages() for p in conv.parameters()]
+        params = [p for stage in self.stages for p in stage.parameters()]
         return params + [p for layer in self.neurons.values() for p in layer.parameters()]
 
     def num_parameters(self):
@@ -313,14 +290,14 @@ class Network:
         self.training = flag
 
     def fold_batchnorm(self):
-        for conv in self._conv_stages():
-            conv.fold_bn()
+        for stage in self.stages:
+            stage.fold_bn()
 
     def zero_biases(self):
-        for conv in self._conv_stages():
-            conv.b.data[:] = 0.0
-            if conv.has_bn:
-                conv.beta.data[:] = 0.0
+        for stage in self.stages:
+            stage.b.data[:] = 0.0
+            if stage.has_bn:
+                stage.beta.data[:] = 0.0
 
     # -- forward -------------------------------------------------------------
     def forward_step(self, bin_plane, spike_counts=None):
@@ -349,7 +326,7 @@ class Network:
 
         def fire(stage, inp):
             """Conv, spiking neuron and potential neuron; returns (spikes, potential)."""
-            u = stage.conv.forward(inp, self.training)
+            u = stage.forward(inp, self.training)
             s = stage.neuron.step(u)
             if spike_counts is not None:
                 tally = spike_counts.setdefault(stage.name, [0, 0])
@@ -376,7 +353,7 @@ class Network:
             s, pot = fire(stage, fused)
 
         pred = roles["pred"][0]
-        image = pred.neuron.step(pred.conv.forward(_with_potential(s, pot), self.training))
+        image = pred.neuron.step(pred.forward(_with_potential(s, pot), self.training))
         if ph or pw:
             image = image[:, :, :spec.height, :spec.width]
         return image
@@ -398,8 +375,8 @@ class Network:
         """Checkpoint name -> live array: every conv stage's tensors, then
         each neuron layer's parameters as `{state id}.np{k}`."""
         tensors = {}
-        for conv in self._conv_stages():
-            tensors.update(conv.named_tensors())
+        for stage in self.stages:
+            tensors.update(stage.named_tensors())
         for lid, layer in self.neurons.items():
             for k, t in enumerate(layer.parameters()):
                 tensors[f"{lid}.np{k}"] = t.data
@@ -415,9 +392,9 @@ class Network:
         if not isinstance(meta, dict) or "spec" not in meta:
             raise ContractError(f"{path}: checkpoint has no embedded network spec")
         net = cls(config_from_dict(NetworkSpec, meta["spec"], f"{path}: spec"))
-        for conv in net._conv_stages():
+        for stage in net.stages:
             # a stage saved after fold_bn() has no batch-norm tensors
-            conv.has_bn = conv.has_bn and f"{conv.name}.gamma" in tensors
+            stage.has_bn = stage.has_bn and f"{stage.name}.gamma" in tensors
         for name, array in net.named_tensors().items():
             if name not in tensors:
                 raise ParseError(f"{path}: checkpoint has no tensor {name!r}")

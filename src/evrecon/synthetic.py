@@ -39,11 +39,10 @@ class SyntheticScene:
         return len(self.trajectory) + 1
 
 
-def random_scene(height, width, steps, rng, contrast=0.15, max_shift=1,
-                 smooth=2):
+def random_scene(height, width, steps, rng, contrast=0.15, max_shift=1):
     """Smooth random texture with a random-walk integer trajectory."""
     tex = rng.random((height, width))
-    for _ in range(smooth):  # box-blur with wrap keeps the texture tileable
+    for _ in range(2):  # box-blur with wrap keeps the texture tileable
         tex = sum(np.roll(np.roll(tex, dy, 0), dx, 1)
                   for dy in (-1, 0, 1) for dx in (-1, 0, 1)) / 9.0
     lo, hi = tex.min(), tex.max()

@@ -342,7 +342,7 @@ def test_criterion_8_temporal_receptive_field(capfd):
     # (b) unfolded BN with nonzero shifts (as a trained network has):
     # empty input keeps neurons firing
     net2 = Network(spec, seed=0)
-    for stage in net2._conv_stages():
+    for stage in net2.stages:
         if stage.has_bn:
             stage.beta.data[:] = rng.uniform(0.5, 1.5, stage.beta.shape)
     net2.train_mode(False)

@@ -353,16 +353,19 @@ class TestBatchNorm:
         x = rand(2, 2, 3, 3, seed=14)
         rm, rv = np.array([1.0, -1.0]), np.array([4.0, 0.25])
         out = ad.batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                              rm, rv, training=False, eps=0.0)
-        expect = (x - rm[None, :, None, None]) / np.sqrt(rv)[None, :, None, None]
+                              rm, rv, training=False)
+        expect = (x - rm[None, :, None, None]) / np.sqrt(rv + ad.BN_EPS)[None, :, None, None]
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
     def test_running_stats_updated(self):
         x = rand(4, 2, 5, 5, seed=15) * 2 + 1
         rm, rv = np.zeros(2), np.ones(2)
         ad.batch_norm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        rm, rv, training=True, momentum=1.0)
-        np.testing.assert_allclose(rm, x.mean(axis=(0, 2, 3)), rtol=1e-12)
+                        rm, rv, training=True)
+        m, cnt = ad.BN_MOMENTUM, 4 * 5 * 5
+        np.testing.assert_allclose(rm, m * x.mean(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(rv, 1 - m + m * x.var(axis=(0, 2, 3)) * cnt / (cnt - 1),
+                                   rtol=1e-12)
 
 
 class TestBackward:

@@ -10,7 +10,7 @@ from evrecon.autodiff import Tensor
 from evrecon.energy import count_ann_ops
 from evrecon.errors import ConfigError, ParseError, ShapeError, config_from_dict
 from evrecon.model import Network, NetworkSpec, skip_connect, spike_rate, stage_table
-from evrecon.neurons import SpikingLayer
+from evrecon.neurons import MPLayer, SpikingLayer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,7 +66,6 @@ class TestSpec:
         assert spec.n_channels == 32
         assert spec.n_encoders == 3
         assert spec.skip_kind == "CONCAT"
-        assert spec.n_decoders == spec.n_encoders
 
     def test_padded_size_rounds_up_to_stride_multiple(self):
         spec = NetworkSpec(height=180, width=240)
@@ -159,15 +158,23 @@ class TestStageTable:
         net = Network(spec, seed=0)
         table = stage_table(spec)
         assert [s.geom for s in net.stages] == table
-        assert [c.name for c in net._conv_stages()] == [g.name for g in table]
+        assert [s.name for s in net.stages] == [g.name for g in table]
         assert [s.name for s in net.stages if isinstance(s.neuron, SpikingLayer)] == [
             g.name for g in table if g.name != "pred"]
         assert list(net.get_state()) == [
             "head", "down1", "down1-mp", "down2", "down2-mp", "res1-1", "res1-2",
             "up1", "up1-mp", "up2", "up2-mp", "pred"]
         for stage in net.stages:
-            assert stage.conv.w.shape == (stage.geom.cout, stage.geom.cin,
-                                          stage.geom.kernel, stage.geom.kernel)
+            assert stage.w.shape == (stage.geom.cout, stage.geom.cin,
+                                     stage.geom.kernel, stage.geom.kernel)
+            assert stage.has_bn == (stage.name != "pred")
+            if stage.name == "pred":
+                assert isinstance(stage.neuron, MPLayer)
+                assert stage.neuron.cfg.kind == "MP_LIF" and stage.neuron.cfg.tau == 2.0
+            assert (stage.potential is not None) == stage.geom.potential
+            if stage.potential is not None:
+                assert stage.potential.cfg.kind == spec.potential_kind == "AMP_LIF"
+                assert stage.potential.amp.conv_w.shape == (stage.geom.cout, 3, 3)
 
     def test_monitor_ids_are_the_spiking_layers(self):
         net = Network(tiny_spec(potential_assisted=True), seed=0)
@@ -373,7 +380,7 @@ class TestCheckpointIO:
         path = tmp_path / "folded.spkt"
         net.save(path)
         net2 = Network.load(path)
-        assert not any(c.has_bn for c in net2._conv_stages())
+        assert not any(s.has_bn for s in net2.stages)
         net.reset_state()
         xs = [rng.standard_normal((16, 16)) for _ in range(3)]
         for x in xs:
