@@ -121,10 +121,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return mul(self, pow(as_tensor(other), -1.0))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return mul(as_tensor(other), pow(self, -1.0))
+        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -189,6 +189,15 @@ def mul(a, b):
                    _unbroadcast(g * a.data, b.data.shape)))
 
 
+def div(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    out = a.data / b.data
+    return make_op(
+        out, (a, b),
+        lambda g: (_unbroadcast(g / b.data, a.data.shape),
+                   _unbroadcast(-g * out / b.data, b.data.shape)))
+
+
 def pow(a, exponent):
     a = as_tensor(a)
     e = float(exponent)
@@ -250,7 +259,7 @@ def tmean(a, axis=None, keepdims=False):
         n = 1
         for ax in axes:
             n *= a.data.shape[ax]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return div(tsum(a, axis=axis, keepdims=keepdims), n)
 
 
 def reshape(a, shape):

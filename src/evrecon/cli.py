@@ -401,6 +401,9 @@ def main(argv=None):
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
               file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a legal 65535 x 65535 sensor at 5 bins needs 172 GB
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -117,13 +117,17 @@ def _sensor_size(lines):
             h, w = map(int, line[1:].split() if line.startswith("#") else ())
         except ValueError:
             return None
-        if h < 1 or w < 1:
-            raise ParseError(f"sensor size must be positive, got {h} x {w}", line=lineno)
-        if max(h, w) > MAX_SENSOR_SIDE:
-            raise ParseError(f"sensor side must be at most {MAX_SENSOR_SIDE}, got {h} x {w}",
-                             line=lineno)
+        _check_sensor(h, w, ParseError, line=lineno)
         return h, w
     return None
+
+
+def _check_sensor(h, w, error, **where):
+    """Raise `error` unless each side of an h x w sensor is 1 to MAX_SENSOR_SIDE."""
+    if h < 1 or w < 1:
+        raise error(f"sensor size must be positive, got {h} x {w}", **where)
+    if max(h, w) > MAX_SENSOR_SIDE:
+        raise error(f"sensor side must be at most {MAX_SENSOR_SIDE}, got {h} x {w}", **where)
 
 
 def _parse(lines):
@@ -214,8 +218,10 @@ def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
     """Split a sorted stream into contiguous windows.
 
     Exactly one of `duration` (fixed time span, seconds) or `count` (fixed
-    number of events) must be given. The last window may be short.
+    number of events) must be given. The last window may be short. Each
+    sensor side must be 1 to MAX_SENSOR_SIDE, as in a size header.
     """
+    _check_sensor(sensor_h, sensor_w, ConfigError)
     if (duration is None) == (count is None):
         raise ConfigError("give exactly one of duration= or count=")
     if duration is not None and not 0.0 < duration < float("inf"):

@@ -29,10 +29,8 @@ class SyntheticScene:
 
     def __post_init__(self):
         self.texture = np.asarray(self.texture, dtype=np.float64)
-        if self.contrast <= 0:
-            raise ConfigError(f"contrast threshold must be > 0, got {self.contrast}")
-        if self.dt <= 0:
-            raise ConfigError(f"step duration must be > 0, got {self.dt}")
+        _check_positive("SyntheticScene", "contrast", self.contrast)
+        _check_positive("SyntheticScene", "dt", self.dt)
 
     @property
     def steps(self):

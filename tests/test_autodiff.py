@@ -340,6 +340,17 @@ class TestPoolingAndPointwise:
         np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
 
 
+class TestExactDivision:
+    """Division and mean divide: multiplying by a rounded inverse is not exact."""
+
+    def test_x_over_x_is_one(self):
+        x = Tensor(np.random.default_rng(34).standard_normal(10000))
+        assert np.count_nonzero((x / x).data != 1.0) == 0
+
+    def test_mean_of_ones_is_one(self):
+        assert [n for n in range(1, 5000) if Tensor(np.ones(n)).mean().item() != 1.0] == []
+
+
 class TestBatchNorm:
     def test_standardized_batch_near_identity(self):
         rng = np.random.default_rng(13)
@@ -520,6 +531,14 @@ class TestFiniteDifference:
         assert ad.finite_difference_check(
             lambda t: (ad.separable_filter(t, taps) ** 2.0).sum(),
             Tensor(rng.standard_normal((2, 1, 5, 6)))) < 1e-4
+
+    def test_div_both_operands_broadcast(self):
+        rng = np.random.default_rng(33)
+        a = Tensor(rng.standard_normal((2, 1)))
+        b = Tensor(rng.uniform(0.5, 2.0, 3))
+        assert ad.finite_difference_check(lambda t: ((t / b) ** 2.0).sum(), a) < 1e-4
+        assert ad.finite_difference_check(lambda t: ((a / t) ** 2.0).sum(), b) < 1e-4
+        assert ad.finite_difference_check(lambda t: (2.0 / t).sum(), b) < 1e-4
 
     # inputs stay clear of each case's kinks by more than twice the FD step
     KINKS = {"abs_smooth": (0.0,), "maximum": (0.1,), "clip": (-0.45, 0.45)}

@@ -172,6 +172,30 @@ class TestVoxelize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "events.txt: line 1: sensor side" in err
 
+    @pytest.mark.parametrize("size,message", [
+        (("-5", "4"), "sensor size must be positive, got -5 x 4"),
+        (("100000000", "100000000"), "sensor side must be at most 65535, got "
+                                     "100000000 x 100000000"),
+    ])
+    def test_flag_sensor_size_follows_the_header_rule(self, tmp_path, capsys, size, message):
+        # raw ValueError and MemoryError tracebacks before
+        events = tmp_path / "events.txt"
+        events.write_text("0.1 1 1 1\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10", "--height", size[0], "--width", size[1]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_of_memory_fails(self, tmp_path, capsys):
+        # 10**13 bins of 100 x 100 need 711 PiB, more than any address space,
+        # so numpy refuses before allocating
+        events = tmp_path / "events.txt"
+        events.write_text("# 100 100\n0.1 1 1 1\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10", "--bins", str(10 ** 13)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+
 
 class TestTrain:
     def test_checkpoint_and_metrics(self, trained_dir):

@@ -368,6 +368,17 @@ class TestWindowing:
             with pytest.raises(ConfigError, match="window count must be >= 1"):
                 split_windows(events, 4, 4, count=0)
 
+    @pytest.mark.parametrize("h,w,message", [
+        (0, 4, "sensor size must be positive, got 0 x 4"),
+        (4, -1, "sensor size must be positive, got 4 x -1"),
+        (65536, 4, "sensor side must be at most 65535, got 65536 x 4"),
+    ])
+    def test_sensor_size_follows_the_header_rule(self, h, w, message):
+        for events in (make_events([0.0, 0.1]), []):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                split_windows(events, h, w, count=1)
+        assert len(split_windows(make_events([0.0]), 65535, 1, count=1)) == 1
+
 
 def brute_force_voxel(window, n_bins):
     """Direct per-event evaluation of the triangular deposit."""

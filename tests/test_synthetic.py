@@ -55,6 +55,16 @@ class TestScene:
         with pytest.raises(ConfigError):
             SyntheticScene(texture=np.ones((4, 4)), trajectory=[(0, 0)], dt=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_contrast_and_dt(self, value):
+        # a NaN contrast passed, then generate_events died in np.repeat
+        for field in ("contrast", "dt"):
+            with pytest.raises(ConfigError,
+                               match=f"SyntheticScene.{field} must be positive and finite"):
+                SyntheticScene(texture=np.ones((4, 4)), trajectory=[(0, 0)], **{field: value})
+        with pytest.raises(ConfigError, match="SyntheticScene.contrast"):
+            random_scene(8, 8, 3, np.random.default_rng(0), contrast=value)
+
 
 class TestFrames:
     def test_static_scene_constant_frames(self):
