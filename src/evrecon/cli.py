@@ -68,12 +68,10 @@ def _load_json(path):
 
 
 def _windows(events, sensor, args):
-    h, w = sensor
-    if args.window_ms is not None:
-        return split_windows(events, h, w, duration=args.window_ms / 1000.0)
-    if args.window_count is not None:
-        return split_windows(events, h, w, count=args.window_count)
-    raise ConfigError("give --window-ms or --window-count")
+    if args.window_ms is None and args.window_count is None:
+        raise ConfigError("give --window-ms or --window-count")
+    duration = None if args.window_ms is None else args.window_ms / 1000.0
+    return split_windows(events, *sensor, duration=duration, count=args.window_count)
 
 
 def _network_bins(args, spec):
@@ -327,8 +325,9 @@ def _manual_lif_grad(w, xs, cfg):
 
 def _add_window_flags(p):
     p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--window-ms", type=float, default=None)
-    p.add_argument("--window-count", type=int, default=None)
+    window = p.add_mutually_exclusive_group()
+    window.add_argument("--window-ms", type=float, default=None)
+    window.add_argument("--window-count", type=int, default=None)
 
 
 def build_parser():

@@ -101,25 +101,26 @@ def measure_spike_rates(net, bin_sequences, op_counts=None):
                       overall_op_weighted=op_weighted)
 
 
-def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
-    """Energy per layer and in total.
+def _rates(spike_stats):
+    """The {layer: rate} of a SpikeStats or of a plain dict; {} for None."""
+    per_layer = spike_stats.per_layer if isinstance(spike_stats, SpikeStats) else spike_stats
+    return dict(per_layer or {})
 
-    SNN layers: op_ann * rate * E_ADD. MP layers: op_ann * E_MAC.
+
+def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
+    """Energy per layer and in total, each row priced by `energy_from_totals`:
+    an SNN row as additions at its layer's rate, an MP row as ANN MACs.
     `spike_stats` may be a SpikeStats or a plain {layer: rate} dict;
     missing layers are priced at rate 0.
     """
-    rates = {}
-    if spike_stats is not None:
-        rates = spike_stats.per_layer if isinstance(spike_stats, SpikeStats) else dict(spike_stats)
+    rates = _rates(spike_stats)
     per_layer = {}
     total_ann = 0.0
     for c in op_counts:
-        total_ann += c.op_ann * E_MAC
-        if c.is_snn:
-            rate = rates.get(c.layer, 0.0)
-            per_layer[c.layer] = c.op_ann * rate * E_ADD
-        else:
-            per_layer[c.layer] = c.op_ann * E_MAC
+        ann = energy_from_totals(c.op_ann, 0, 0)
+        total_ann += ann
+        rate = rates.get(c.layer, 0.0)
+        per_layer[c.layer] = energy_from_totals(0, c.op_ann, rate) if c.is_snn else ann
     total = sum(per_layer.values())
     warnings = []
     if empty_input_rate is not None and empty_input_rate > 0:
@@ -133,7 +134,7 @@ def estimate_energy(op_counts, spike_stats=None, empty_input_rate=None):
 
 
 def energy_from_totals(op_ann, op_snn, rate):
-    """Headline energy: #OP_ann * 4.6pJ + #OP_snn * rate * 0.9pJ."""
+    """The 45nm price, stated once: #OP_ann * 4.6pJ + #OP_snn * rate * 0.9pJ."""
     return op_ann * E_MAC + op_snn * rate * E_ADD
 
 
@@ -145,14 +146,12 @@ def ann_snn_ratio(a, b, c):
     """
     if not (0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):
         raise ConfigError("rate and MP fraction must lie in [0, 1]")
-    return (a * E_MAC) / (c * E_MAC + (1.0 - c) * b * E_ADD)
+    return energy_from_totals(a, 0, 0) / energy_from_totals(c, 1.0 - c, b)
 
 
 def format_report(op_counts, report, spike_stats=None):
     """Aligned-column text table of per-layer ops, rates, and energy."""
-    rates = {}
-    if spike_stats is not None:
-        rates = spike_stats.per_layer if isinstance(spike_stats, SpikeStats) else dict(spike_stats)
+    rates = _rates(spike_stats)
     lines = [f"{'layer':<18}{'type':<6}{'op_ann':>14}{'rate':>8}{'energy (J)':>14}"]
     for c in op_counts:
         kind = "SNN" if c.is_snn else "MP"

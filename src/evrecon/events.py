@@ -60,16 +60,17 @@ class VoxelGrid:
 _RECORD = np.dtype([("t", np.float64), ("x", np.int64), ("y", np.int64), ("p", np.int64)])
 
 
-def parse_event_stream(stream):
-    """Parse lines of "t x y p" into events; p on disk is {0, 1}.
+def parse_event_stream(text):
+    """Parse the "t x y p" lines of a string or UTF-8 bytes into events; p
+    on disk is {0, 1}.
 
-    `stream` may be a string, UTF-8 bytes, or an iterable of lines. Raises
-    ParseError naming the 1-based line of the first bad record (a wrong
-    field count, a bad number, a polarity not in {0, 1, -1}, a non-finite
-    timestamp, or a pixel outside the sensor a "# H W" header declares),
-    and OrderingError, a ParseError, on a decreasing timestamp.
+    Raises ParseError naming the 1-based line of the first bad record (a
+    byte that is not UTF-8, a wrong field count, a bad number, a polarity
+    not in {0, 1, -1}, a non-finite timestamp, or a pixel outside the
+    sensor a "# H W" header declares), and OrderingError, a ParseError, on
+    a decreasing timestamp.
     """
-    return _parse(_lines(stream))[0]
+    return _parse(_lines(text))[0]
 
 
 def load_events(path):
@@ -86,23 +87,18 @@ def load_events(path):
         raise
 
 
-def _lines(stream):
-    """The lines of a string, UTF-8 bytes, or an iterable of lines."""
-    if isinstance(stream, bytes):
-        stream = _decode(stream)
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return [_decode(line, lineno) if isinstance(line, bytes) else line
-            for lineno, line in enumerate(stream, start=1)]
+def _lines(text):
+    """The lines of a string or of UTF-8 bytes."""
+    return (_decode(text) if isinstance(text, bytes) else text).splitlines()
 
 
-def _decode(raw, lineno=1):
-    """`raw` as UTF-8 text; `lineno` is the line `raw` starts on."""
+def _decode(raw):
+    """`raw` as UTF-8 text."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the bad byte, counting line breaks as str.splitlines does
-        line = lineno - 1 + len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
                          line=line) from None
 
@@ -205,11 +201,11 @@ def _first_unreadable(lines):
     return lo
 
 
-def save_events(path, events, sensor_h=None, sensor_w=None):
-    """Write events in the on-disk format (p as {0, 1})."""
+def save_events(path, events, sensor_h, sensor_w):
+    """Write events in the on-disk format (p as {0, 1}) under a
+    "# sensor_h sensor_w" size header."""
     with open(path, "w", encoding="utf-8") as fh:
-        if sensor_h is not None and sensor_w is not None:
-            fh.write(f"# {sensor_h} {sensor_w}\n")
+        fh.write(f"# {sensor_h} {sensor_w}\n")
         for ev in events:
             fh.write(f"{ev.t:.9f} {ev.x} {ev.y} {1 if ev.p > 0 else 0}\n")
 
@@ -264,6 +260,8 @@ def encode_voxel_grid(window, n_bins):
     if n_bins < 1:
         raise ConfigError(f"bin count must be >= 1, got {n_bins}")
     h, w = window.sensor_h, window.sensor_w
+    if n_bins * h * w * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
+        raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
     grid = np.zeros((n_bins, h, w))
     if not window.events:
         return VoxelGrid(grid, window.t0, window.t1)

@@ -303,18 +303,16 @@ class Network:
     def forward_step(self, bin_plane, spike_counts=None):
         """Advance one temporal bin; returns the predicted image Tensor.
 
-        `bin_plane` is (H, W), (1, H, W), or (N, 1, H, W). `spike_counts`,
+        `bin_plane` is an (H, W) or (N, 1, H, W) array. `spike_counts`,
         if given, is a spike tally: each spiking layer adds the spikes it
         fired and the neurons it stepped to `spike_counts[layer id]`, a
         `[fired, stepped]` pair of ints, so one dict can tally a step, a
         sequence or an epoch. Read it with `spike_rate`.
         """
         spec = self.spec
-        x = bin_plane.data if isinstance(bin_plane, Tensor) else np.asarray(bin_plane, dtype=np.float64)
+        x = np.asarray(bin_plane, dtype=np.float64)
         if x.ndim == 2:
             x = x[None, None]
-        elif x.ndim == 3:
-            x = x[:, None]
         if x.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected a single-channel bin, got shape {x.shape}")
         if x.shape[2] != spec.height or x.shape[3] != spec.width:
@@ -395,7 +393,11 @@ class Network:
         for stage in net.stages:
             # a stage saved after fold_bn() has no batch-norm tensors
             stage.has_bn = stage.has_bn and f"{stage.name}.gamma" in tensors
-        for name, array in net.named_tensors().items():
+        named = net.named_tensors()
+        for name in tensors:
+            if name not in named:
+                raise ParseError(f"{path}: the spec names no tensor {name!r}")
+        for name, array in named.items():
             if name not in tensors:
                 raise ParseError(f"{path}: checkpoint has no tensor {name!r}")
             if tensors[name].shape != array.shape:

@@ -29,13 +29,12 @@ class NeuronConfig:
     v_reset: float = 0.0
     v_rest: float = 0.0
     tau: float = 2.0
-    plif_w: float = 0.0
 
     def __post_init__(self):
         check_field_types(self)
         if self.kind not in SPIKING_KINDS + MP_KINDS:
             raise ConfigError(f"unknown neuron kind {self.kind!r}")
-        check_finite(self, "v_th", "v_reset", "v_rest", "tau", "plif_w")
+        check_finite(self, "v_th", "v_reset", "v_rest", "tau")
         if self.kind in ("LIF", "MP_LIF") and self.tau <= 1.0:
             raise ConfigError(f"NeuronConfig.tau must be > 1 for {self.kind}, got {self.tau}")
 
@@ -193,8 +192,8 @@ class SpikingLayer(NeuronLayer):
         super().__init__(cfg)
         if cfg.kind not in SPIKING_KINDS:
             raise ConfigError(f"not a spiking kind: {cfg.kind}")
-        self.plif_w = (Tensor(cfg.plif_w, requires_grad=True)
-                       if cfg.kind == "PLIF" else None)
+        # a PLIF weight starts at 0, that is at tau = 2
+        self.plif_w = Tensor(0.0, requires_grad=True) if cfg.kind == "PLIF" else None
 
     def step(self, x):
         v_prev = self._prev(x)

@@ -44,10 +44,7 @@ class TrainConfig:
 
 
 def _as_batch(x):
-    if isinstance(x, Tensor):
-        t = x
-    else:
-        t = Tensor(np.asarray(x, dtype=np.float64))
+    t = ad.as_tensor(x)
     if t.ndim == 2:
         t = ad.reshape(t, (1, 1) + t.shape)
     if t.ndim != 4:
@@ -66,20 +63,15 @@ def reconstruction_loss(pred, gt):
     return l1 + 0.5 * (1.0 - quality.ssim(pred_n, gt))
 
 
-def temporal_consistency_loss(i_k, i_prev, flow, mask=None):
-    """Mean |I_k - warp(I_{k-1}, flow)| over valid pixels.
+def temporal_consistency_loss(i_k, i_prev, flow):
+    """Mean |I_k - warp(I_{k-1}, flow)| over all pixels.
 
     `flow` is the known integer (dy, dx) translation mapping frame k-1
-    onto frame k; warping is a wrap-around roll.
+    onto frame k; warping is a wrap-around roll, so every pixel is valid.
     """
     i_k, i_prev = _as_batch(i_k), _as_batch(i_prev)
     dy, dx = int(flow[0]), int(flow[1])
-    warped = ad.roll(i_prev, (dy, dx), axis=(2, 3))
-    diff = (i_k - warped).abs()
-    if mask is None:
-        return diff.mean()
-    mask = np.asarray(mask, dtype=np.float64)
-    return (diff * mask).sum() / max(mask.sum(), 1.0)
+    return (i_k - ad.roll(i_prev, (dy, dx), axis=(2, 3))).abs().mean()
 
 
 def total_loss(preds, gts, flows, cfg, prev_pred=None, step0=0):
@@ -105,9 +97,10 @@ def total_loss(preds, gts, flows, cfg, prev_pred=None, step0=0):
 def scene_to_bins(scene, n_bins=1):
     """Events -> per-frame-interval voxel bins, nonzero-normalized.
 
-    Returns (bins, gts, flows) aligned per network step: the bins of window
-    s are followed by ground-truth frame s. With n_bins == 1 there is one
-    step per frame interval.
+    Returns (bins, gts, flows) aligned per network step: every bin of
+    window s targets ground-truth frame s. Its first bin carries the flow
+    from frame s-1 to frame s; the later bins share that frame, so their
+    flow is (0, 0). With n_bins == 1 there is one step per frame interval.
     """
     events, frames, flows = generate_events(scene)
     times = [ev.t for ev in events]  # sorted, so each window is one slice
@@ -118,10 +111,9 @@ def scene_to_bins(scene, n_bins=1):
         in_window = events[bisect_right(times, t0):bisect_right(times, t1)]  # t0 < t <= t1
         window = EventWindow(in_window, t0, t1, h, w)
         grid = normalize_nonzero(encode_voxel_grid(window, n_bins))
-        for plane in slice_temporal_bins(grid):
-            bins.append(plane)
-            gts.append(frames[s])
-            step_flows.append(flows[s])
+        bins += slice_temporal_bins(grid)
+        gts += [frames[s]] * n_bins
+        step_flows += [flows[s]] + [(0, 0)] * (n_bins - 1)
     return bins, gts, step_flows
 
 
@@ -222,8 +214,8 @@ def write_metrics_csv(path, history):
 
 
 def evaluate_reconstruction(net, bins, gts):
-    """Histogram-normalized MSE/SSIM of a full forward pass vs ground truth,
-    averaged over the frames (SSIM is NaN below the SSIM window)."""
-    images = net.forward_sequence(bins)  # (H, W): the first batch element
-    return _mean_score([quality.score(img, gt[0, 0] if np.ndim(gt) == 4 else gt)
-                        for img, gt in zip(images, gts)])
+    """Histogram-normalized MSE/SSIM of a full forward pass vs the (H, W)
+    ground-truth frames, averaged over the frames (SSIM is NaN below the
+    SSIM window)."""
+    images = net.forward_sequence(bins)
+    return _mean_score([quality.score(img, gt) for img, gt in zip(images, gts)])

@@ -136,6 +136,17 @@ class TestVoxelize:
         assert rc == 1
         assert "window" in capsys.readouterr().err
 
+    def test_both_window_modes_fail(self, sim_dir, tmp_path, capsys):
+        # --window-ms won and --window-count was silently ignored before
+        with pytest.raises(SystemExit) as exc:
+            main(["voxelize", "--events", str(sim_dir / "events.txt"),
+                  "--out", str(tmp_path / "g.spkt"), "--window-ms", "100",
+                  "--window-count", "1"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "--window-ms" in last and "--window-count" in last
+        assert not (tmp_path / "g.spkt").exists()
+
     @pytest.mark.parametrize("window_ms", ["nan", "inf", "0", "-5"])
     def test_window_ms_must_be_positive_and_finite(self, sim_dir, tmp_path, capsys, window_ms):
         # nan escaped as a raw ValueError traceback before
@@ -195,6 +206,22 @@ class TestVoxelize:
                    "--window-count", "10", "--bins", str(10 ** 13)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+    @pytest.mark.parametrize("bins,size", [
+        (10 ** 20, ("100", "100")),           # numpy: maximum allowed dimension exceeded
+        (10 ** 10, ("65535", "65535")),       # numpy: array is too big
+    ])
+    def test_grid_numpy_cannot_size_fails(self, tmp_path, capsys, bins, size):
+        # raw ValueError tracebacks before; both sizes are refused before
+        # anything is allocated
+        events = tmp_path / "events.txt"
+        events.write_text("0.1 1 1 1\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "10", "--bins", str(bins),
+                   "--height", size[0], "--width", size[1]])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: bin count {bins} is too large for a "
+                                           f"{size[0]}x{size[1]} grid\n")
 
 
 class TestTrain:

@@ -75,33 +75,33 @@ def oracle_duration_windows(events, sensor_h, sensor_w, duration):
 
 class TestParsing:
     def test_basic_lines(self):
-        events = parse_event_stream(["0.1 3 4 1", "0.2 5 6 0"])
+        events = parse_event_stream("\n".join(["0.1 3 4 1", "0.2 5 6 0"]))
         assert events[0] == Event(t=0.1, x=3, y=4, p=1)
         assert events[1].p == -1  # 0 polarity maps to -1
 
     def test_skips_blank_and_comment_lines(self):
-        events = parse_event_stream(["# header", "", "0.5 1 2 1", "   "])
+        events = parse_event_stream("\n".join(["# header", "", "0.5 1 2 1", "   "]))
         assert len(events) == 1
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as exc:
-            parse_event_stream(["0.1 1 2 1", "bogus line here"])
+            parse_event_stream("\n".join(["0.1 1 2 1", "bogus line here"]))
         assert exc.value.line == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
-            parse_event_stream(["0.1 1 2"])
+            parse_event_stream("0.1 1 2")
 
     def test_bad_polarity(self):
         with pytest.raises(ParseError):
-            parse_event_stream(["0.1 1 2 7"])
+            parse_event_stream("0.1 1 2 7")
 
     def test_out_of_order_timestamps(self):
         with pytest.raises(OrderingError):
-            parse_event_stream(["0.2 1 1 1", "0.1 1 1 1"])
+            parse_event_stream("\n".join(["0.2 1 1 1", "0.1 1 1 1"]))
 
     def test_equal_timestamps_allowed(self):
-        events = parse_event_stream(["0.2 1 1 1", "0.2 2 2 0"])
+        events = parse_event_stream("\n".join(["0.2 1 1 1", "0.2 2 2 0"]))
         assert len(events) == 2
 
     def test_roundtrip(self, tmp_path):
@@ -168,7 +168,7 @@ class TestParsing:
         # Python's float()/int() accepted these; the file grammar does not
         oracle_parse_event_stream([record])
         with pytest.raises(ParseError) as exc:
-            parse_event_stream(["0.0 0 0 1", record])
+            parse_event_stream("\n".join(["0.0 0 0 1", record]))
         assert exc.value.line == 2
 
     def test_header_bounds_events(self, tmp_path):
@@ -210,7 +210,7 @@ class TestParsing:
             load_events(path)
         assert exc.value.line == 3
         with pytest.raises(ParseError) as exc:
-            parse_event_stream([b"0.1 1 1 1", b"0.2 \xc3 1 1"])
+            parse_event_stream(b"\n".join([b"0.1 1 1 1", b"0.2 \xc3 1 1"]))
         assert exc.value.line == 2
 
     def test_file_line_numbers_count_every_line(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -396,6 +397,21 @@ class TestCheckpointIO:
         path = tmp_path / "partial.spkt"
         checkpoint.save_tensors(path, tensors, meta={"spec": asdict(net.spec)})
         with pytest.raises(ParseError, match=r"partial\.spkt.*'down1\.w'"):
+            Network.load(path)
+
+    @pytest.mark.parametrize("edit,name", [
+        # without its gamma, down1 loaded with batch norm off and its beta and
+        # running statistics dropped without a word
+        (lambda t: t.pop("down1.gamma"), "down1.beta"),
+        (lambda t: t.update({"bogus.tensor": np.zeros(3)}), "bogus.tensor"),
+    ])
+    def test_unused_tensor_names_file_and_tensor(self, tmp_path, edit, name):
+        net = Network(tiny_spec(), seed=0)
+        tensors = net.named_tensors()
+        edit(tensors)
+        path = tmp_path / "extra.spkt"
+        checkpoint.save_tensors(path, tensors, meta={"spec": asdict(net.spec)})
+        with pytest.raises(ParseError, match=rf"extra\.spkt.*'{re.escape(name)}'"):
             Network.load(path)
 
     def test_unknown_spec_key_in_meta(self, tmp_path):

@@ -97,7 +97,7 @@ class TestPLIF:
     def test_plif_with_w_zero_matches_lif_tau2(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((4, 4))
-        cfg_p = NeuronConfig(kind="PLIF", plif_w=0.0)
+        cfg_p = NeuronConfig(kind="PLIF")
         cfg_l = NeuronConfig(kind="LIF", tau=2.0)
         layer_p = SpikingLayer(cfg_p)
         layer_l = SpikingLayer(cfg_l)
@@ -263,7 +263,7 @@ class TestConfigValidation:
                 NeuronConfig(kind=kind)
 
     @pytest.mark.parametrize("kind", ["IF", "MP_LIF"])
-    @pytest.mark.parametrize("field", ["v_th", "v_reset", "v_rest", "tau", "plif_w"])
+    @pytest.mark.parametrize("field", ["v_th", "v_reset", "v_rest", "tau"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
     def test_non_finite_value_names_field(self, kind, field, value):
         with pytest.raises(ConfigError, match=f"NeuronConfig.{field} must be finite"):
