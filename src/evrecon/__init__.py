@@ -6,8 +6,7 @@ from .events import (Event, EventWindow, VoxelGrid, encode_voxel_grid,
                      save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec, skip_connect
 from .neurons import (AmpBlockParams, NeuronConfig, amp_compute_tau,
-                      amp_lif_step, if_step, lif_step, mp_step, plif_tau,
-                      surrogate_spike)
+                      amp_lif_step, if_step, lif_step, mp_step, plif_tau)
 from .synthetic import SyntheticScene, generate_events, random_scene
 from .training import (TrainConfig, reconstruction_loss,
                        temporal_consistency_loss, total_loss, train)

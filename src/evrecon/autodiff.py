@@ -28,6 +28,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled():
+    """False inside `no_grad`, where ops record no tape nodes."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -600,30 +605,55 @@ BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running buffers
 
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel batch norm over (N,H,W).
+    """Per-channel batch norm over (N,H,W), one op.
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place (unbiased variance, torch convention); eval mode uses
-    the running buffers as constants.
+    the running buffers as constants. The op keeps x̂ = (x - mean) * istd
+    and the per-channel inverse std istd for backward. Train mode's
+    backward is the closed form (Ioffe & Szegedy, arXiv:1502.03167),
+    gx = gamma * istd * (g - mean(g) - x̂ * mean(g * x̂)) over (N,H,W);
+    eval mode's is gx = gamma * istd * g. Under `no_grad` x̂ is normalized,
+    scaled and shifted in its own buffer, which becomes the output.
     """
-    x = as_tensor(x)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n, c, h, w = x.shape
     gshape = (1, c, 1, 1)
+    axes = (0, 2, 3)
+    cnt = n * h * w
+    record = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
     if training:
-        mu = tmean(x, axis=(0, 2, 3), keepdims=True)
-        var = tmean(pow(sub(x, mu), 2.0), axis=(0, 2, 3), keepdims=True)
-        cnt = n * h * w
+        mu = x.data.sum(axis=axes, keepdims=True) / cnt
+        xhat = np.subtract(x.data, mu)
+        var = (xhat ** 2.0).sum(axis=axes, keepdims=True) / cnt
         corr = cnt / (cnt - 1) if cnt > 1 else 1.0
         running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu.data.ravel()
+        running_mean += BN_MOMENTUM * mu.ravel()
         running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * corr * var.data.ravel()
-        xhat = mul(sub(x, mu), pow(add(var, BN_EPS), -0.5))
+        running_var += BN_MOMENTUM * corr * var.ravel()
+        istd = (var + BN_EPS) ** -0.5
     else:
-        mu = running_mean.reshape(gshape)
-        inv = 1.0 / np.sqrt(running_var.reshape(gshape) + BN_EPS)
-        xhat = mul(sub(x, mu), inv)
-    return add(mul(xhat, reshape(gamma, gshape)), reshape(beta, gshape))
+        xhat = np.subtract(x.data, running_mean.reshape(gshape))
+        istd = 1.0 / np.sqrt(running_var.reshape(gshape) + BN_EPS)
+    xhat *= istd
+    scale = gamma.data.reshape(gshape)
+    out = np.multiply(xhat, scale, out=None if record else xhat)
+    out += beta.data.reshape(gshape)
+
+    def bw(g):
+        gsum = g.sum(axis=axes, keepdims=True)
+        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
+        gx = None
+        if x.requires_grad:
+            if training:
+                gx = g - gsum / cnt
+                gx -= xhat * (gxhat / cnt)
+                gx *= scale * istd
+            else:
+                gx = g * (scale * istd)
+        return gx, gxhat.ravel(), gsum.ravel()
+
+    return make_op(out, (x, gamma, beta), bw)
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import ConfigError, EvreconError, ParseError, config_from_dict
 from .events import (encode_voxel_grid, load_events, normalize_nonzero,
                      save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec, spike_rate
-from .neurons import NeuronConfig, lif_step, mp_step, surrogate_grad
+from .neurons import NeuronConfig, SpikingLayer, lif_step, mp_step, surrogate_grad
 from .synthetic import SceneConfig, SceneMeta, generate_events
 from .training import TrainConfig, train, write_metrics_csv
 
@@ -296,6 +296,27 @@ def cmd_gradcheck(args):
     w_narrow = ad.Tensor(rng.standard_normal((1, 4, 3, 3)) * 0.4)
     check("conv_narrow", lambda t: (ad.conv2d(t, w_narrow, padding=1) ** 2.0).sum(),
           rng.standard_normal((1, 4, 5, 6)))
+    # the fused ops; drawn after the rows above as well
+    gamma, beta = ad.Tensor(rng.uniform(0.5, 1.5, 3)), ad.Tensor(rng.standard_normal(3))
+    w_bn = rng.standard_normal((2, 3, 4, 4))
+    check("batch_norm_train", lambda t: (ad.batch_norm2d(
+        t, gamma, beta, np.zeros(3), np.ones(3), training=True) ** 2.0 * w_bn).sum(),
+          rng.standard_normal((2, 3, 4, 4)))
+    # a PLIF chain's potentials by its weight (1/tau = sigmoid(w)): the reset
+    # gate is a constant and no spike flips within the difference step
+    plif = SpikingLayer(NeuronConfig(kind="PLIF"))
+    plif_xs = rng.standard_normal((3, 6)) * 1.5
+
+    def plif_chain(t):
+        plif.reset_state()
+        plif.plif_w = t
+        loss = None
+        for xv in plif_xs:
+            plif.step(ad.Tensor(xv))
+            term = (plif.state * plif.state).sum()
+            loss = term if loss is None else loss + term
+        return loss
+    check("plif_3step", plif_chain, rng.standard_normal(()))
 
     ok = True
     print(f"{'check':<24}{'max_err':>12}{'tol':>10}  status")

@@ -7,7 +7,23 @@ Design choices:
 - H(0) = 1: a neuron exactly at threshold spikes.
 - Surrogate backward through the spike is the shifted-arctan derivative
   1 / (1 + pi^2 x^2).
-- PLIF and AMP parameterize tau = 1 / sigmoid(w), guaranteeing tau > 1.
+- PLIF and AMP parameterize 1/tau = clip(sigmoid(w), 1e-12, 1 - 1e-12)
+  (`inv_tau`), so tau > 1 for every w, even where sigmoid rounds to 0 or 1.
+
+Each step is one fused autodiff op:
+- An IF/LIF/PLIF step charges, fires and hard-resets in one pass and
+  records two tape nodes, the spikes and v_new = where(fired, v_reset, v_c).
+  Their backward closures share one surrogate multiplier
+  1 / (1 + pi^2 (v_c - v_th)^2) and a bool `fired` mask; the reset gate
+  is a constant, so v_new passes its gradient to v_c only where no spike
+  fired. Only PLIF also keeps its drive -(v - v_rest) + x, the gradient of
+  v_c by its 1/tau.
+- `mp_step` records one node and keeps no full-size array: its 1/tau
+  gradient reads x - v_prev from its inputs, which the tape holds anyway.
+- Under `no_grad` each op allocates each output once and computes into it
+  with `out=`; it writes into no input. (`mp_step` adds one transient
+  product.) The forward keeps the order of operations of the unfused
+  expressions, so its outputs are bitwise those of the composed ops.
 """
 
 from dataclasses import dataclass
@@ -16,7 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, check_field_types, check_finite
+from .errors import (ConfigError, ContractError, ShapeError, check_field_types,
+                     check_finite)
 
 SPIKING_KINDS = ("IF", "LIF", "PLIF")
 MP_KINDS = ("MP_LIF", "AMP_LIF")
@@ -39,69 +56,117 @@ class NeuronConfig:
             raise ConfigError(f"NeuronConfig.tau must be > 1 for {self.kind}, got {self.tau}")
 
 
-def _surrogate_den(x):
-    return 1.0 + np.pi ** 2 * x ** 2
-
-
-def surrogate_spike(x):
-    """Heaviside forward (1 iff x >= 0) with arctan-surrogate backward."""
-    x = ad.as_tensor(x)
-    out = (x.data >= 0.0).astype(np.float64)
-    return ad.make_op(out, (x,), lambda g: (g / _surrogate_den(x.data),))
-
-
 def surrogate_grad(x):
     """The backward multiplier 1 / (1 + pi^2 x^2) as a plain array."""
-    return 1.0 / _surrogate_den(np.asarray(x, dtype=np.float64))
+    return 1.0 / (1.0 + np.pi ** 2 * np.asarray(x, dtype=np.float64) ** 2)
 
 
-def _fire_and_reset(v_charge, v_th, v_reset):
-    spikes = surrogate_spike(v_charge - v_th)
-    gate = spikes.detach()  # reset is treated as a constant during backward
-    v_new = v_charge * (1.0 - gate) + v_reset * gate
-    return spikes, v_new
+def _check_same_shape(v_prev, x):
+    if v_prev.shape != x.shape:
+        raise ShapeError(f"membrane potential {v_prev.shape} and input {x.shape} differ in shape")
 
 
-def _leaky_charge(v_prev, x, inv, v_rest):
-    """Charge toward rest plus input: v + inv * (-(v - v_rest) + x), inv = 1/tau."""
-    return v_prev + inv * (-(v_prev - v_rest) + x)
+def _charge_fire_reset(v_prev, x, inv, cfg):
+    """One spiking step as one op; returns (spikes, v_new).
+
+    `inv` is 1/tau: None for IF (v_c = v + x), a float for LIF or a 0-d
+    Tensor for PLIF (v_c = v + inv * (-(v - v_rest) + x)).
+    """
+    v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
+    _check_same_shape(v_prev, x)
+    plif = isinstance(inv, Tensor)
+    parents = (v_prev, x, inv) if plif else (v_prev, x)
+    a = inv.data if plif else inv
+    record = ad.grad_enabled() and any(p.requires_grad for p in parents)
+    v = v_prev.data
+    drive = None
+    if a is None:
+        v_c = np.add(v, x.data, out=np.empty(v.shape))
+    else:
+        # x - (v - v_rest) is bitwise -(v - v_rest) + x
+        v_c = np.subtract(v, cfg.v_rest, out=np.empty(v.shape))
+        np.subtract(x.data, v_c, out=v_c)
+        if record and plif:
+            drive = v_c
+            v_c = np.multiply(drive, a, out=np.empty(v.shape))
+        else:
+            np.multiply(v_c, a, out=v_c)
+        np.add(v, v_c, out=v_c)
+    fired = np.greater_equal(v_c, cfg.v_th)  # v_c - v_th >= 0: H(0) = 1
+    spikes = fired.astype(np.float64)
+    sg = surrogate_grad(v_c - cfg.v_th) if record else None
+    np.copyto(v_c, cfg.v_reset, where=fired)
+
+    def to_parents(g_c):
+        """The gradient at v_c, passed on to (v_prev, x[, inv])."""
+        if a is None:
+            return g_c, g_c
+        grads = (g_c * (1.0 - a) if v_prev.requires_grad else None,
+                 g_c * a if x.requires_grad else None)
+        return grads if drive is None else grads + ((g_c * drive).sum(),)
+
+    return (ad.make_op(spikes, parents, lambda g: to_parents(g * sg)),
+            ad.make_op(v_c, parents, lambda g: to_parents(np.where(fired, 0.0, g))))
 
 
 def lif_step(v_prev, x, cfg):
     """One leaky integrate-and-fire step: charge, spike, hard reset."""
     if cfg.tau <= 0:
         raise ConfigError(f"tau must be > 0, got {cfg.tau}")
-    v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
-    v_charge = _leaky_charge(v_prev, x, 1.0 / cfg.tau, cfg.v_rest)
-    return _fire_and_reset(v_charge, cfg.v_th, cfg.v_reset)
+    return _charge_fire_reset(v_prev, x, 1.0 / cfg.tau, cfg)
 
 
 def if_step(v_prev, x, cfg):
     """Integrate-and-fire: no leak, same spike/reset rule."""
-    v_charge = ad.as_tensor(v_prev) + ad.as_tensor(x)
-    return _fire_and_reset(v_charge, cfg.v_th, cfg.v_reset)
+    return _charge_fire_reset(v_prev, x, None, cfg)
+
+
+def inv_tau(pre):
+    """1/tau = clip(sigmoid(pre), 1e-12, 1 - 1e-12), differentiable: the
+    rule of PLIF's and AMP's tau. The clip keeps tau in (1, 1e12] where
+    sigmoid rounds to exactly 0 or 1 (|pre| >= 37)."""
+    return ad.clip(ad.sigmoid(ad.as_tensor(pre)), 1e-12, 1.0 - 1e-12)
 
 
 def plif_tau(plif_w):
-    """tau = 1 / sigmoid(w); differentiable, always > 1."""
-    return ad.pow(ad.sigmoid(ad.as_tensor(plif_w)), -1.0)
+    """tau = 1 / inv_tau(w); differentiable, always > 1."""
+    return ad.pow(inv_tau(plif_w), -1.0)
 
 
 def mp_step(v_prev, x, tau):
-    """Non-spiking membrane update: V = (1 - 1/tau) V_prev + (1/tau) X.
+    """Non-spiking membrane update V = (1 - 1/tau) V_prev + (1/tau) X, as
+    one op.
 
     Returns (output, new state); the output is the potential itself.
-    `tau` may be a scalar or a broadcastable Tensor (per-channel).
+    `tau` is a float, or AMP's per-sample, per-channel Tensor of shape
+    (N, C, 1, 1).
     """
     v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
+    _check_same_shape(v_prev, x)
     if isinstance(tau, Tensor):
-        inv = ad.pow(tau, -1.0)
+        if x.ndim != 4 or tau.shape != x.shape[:2] + (1, 1):
+            raise ShapeError(f"tau of shape {tau.shape} does not fit input {x.shape}; "
+                             "it must be (N, C, 1, 1)")
+        inv = 1.0 / tau.data
+        parents = (v_prev, x, tau)
     else:
         if tau <= 0:
             raise ConfigError(f"tau must be > 0, got {tau}")
         inv = 1.0 / tau
-    v_new = (1.0 - inv) * v_prev + inv * x
-    return v_new, v_new
+        parents = (v_prev, x)
+    v_new = np.multiply(1.0 - inv, v_prev.data)
+    v_new += inv * x.data
+
+    def bw(g):
+        grads = (g * (1.0 - inv) if v_prev.requires_grad else None,
+                 g * inv if x.requires_grad else None)
+        if len(parents) == 2 or not tau.requires_grad:
+            return grads
+        g_inv = (g * (x.data - v_prev.data)).sum(axis=(2, 3), keepdims=True)
+        return grads + (-g_inv * inv * inv,)  # d(1/tau)/dtau = -1/tau^2
+
+    out = ad.make_op(v_new, parents, bw)
+    return out, out
 
 
 @dataclass
@@ -142,17 +207,14 @@ def amp_compute_tau(spikes, params):
 
     F = channel firing rate (global average pool), I = pooled local
     intensity (global max pool of a depthwise conv); tau =
-    1 / sigmoid(linear([F, I])), shape (N, C), every entry > 1.
+    1 / inv_tau(linear([F, I])), shape (N, C), every entry > 1.
     """
     spikes = ad.as_tensor(spikes)
     f = ad.global_avg_pool(spikes)
     conv = ad.depthwise_conv3x3(spikes, params.conv_w, params.conv_b)
     i = ad.global_max_pool(conv)
     pre = ad.linear(ad.concat([f, i], axis=1), params.lin_w, params.lin_b)
-    # clamp away from the saturated sigmoid values so tau stays in (1, inf)
-    # even when |pre| is large enough for sigmoid to round to exactly 0 or 1
-    sig = ad.clip(ad.sigmoid(pre), 1e-12, 1.0 - 1e-12)
-    return ad.pow(sig, -1.0)
+    return ad.pow(inv_tau(pre), -1.0)
 
 
 def amp_lif_step(v_prev, x, s_input, params):
@@ -202,9 +264,7 @@ class SpikingLayer(NeuronLayer):
         elif self.cfg.kind == "LIF":
             spikes, v_new = lif_step(v_prev, x, self.cfg)
         else:
-            inv = ad.pow(plif_tau(self.plif_w), -1.0)
-            v_charge = _leaky_charge(v_prev, x, inv, self.cfg.v_rest)
-            spikes, v_new = _fire_and_reset(v_charge, self.cfg.v_th, self.cfg.v_reset)
+            spikes, v_new = _charge_fire_reset(v_prev, x, inv_tau(self.plif_w), self.cfg)
         self.state = v_new
         return spikes
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -351,6 +352,28 @@ class TestExactDivision:
         assert [n for n in range(1, 5000) if Tensor(np.ones(n)).mean().item() != 1.0] == []
 
 
+def composed_batch_norm2d(x, gamma, beta, running_mean, running_var, training):
+    """The composition of elementwise ops that `ad.batch_norm2d` replaced."""
+    x = ad.as_tensor(x)
+    n, c, h, w = x.shape
+    gshape = (1, c, 1, 1)
+    if training:
+        mu = ad.tmean(x, axis=(0, 2, 3), keepdims=True)
+        var = ad.tmean(ad.pow(ad.sub(x, mu), 2.0), axis=(0, 2, 3), keepdims=True)
+        cnt = n * h * w
+        corr = cnt / (cnt - 1) if cnt > 1 else 1.0
+        running_mean *= 1.0 - ad.BN_MOMENTUM
+        running_mean += ad.BN_MOMENTUM * mu.data.ravel()
+        running_var *= 1.0 - ad.BN_MOMENTUM
+        running_var += ad.BN_MOMENTUM * corr * var.data.ravel()
+        xhat = ad.mul(ad.sub(x, mu), ad.pow(ad.add(var, ad.BN_EPS), -0.5))
+    else:
+        mu = running_mean.reshape(gshape)
+        inv = 1.0 / np.sqrt(running_var.reshape(gshape) + ad.BN_EPS)
+        xhat = ad.mul(ad.sub(x, mu), inv)
+    return ad.add(ad.mul(xhat, ad.reshape(gamma, gshape)), ad.reshape(beta, gshape))
+
+
 class TestBatchNorm:
     def test_standardized_batch_near_identity(self):
         rng = np.random.default_rng(13)
@@ -378,6 +401,90 @@ class TestBatchNorm:
         np.testing.assert_allclose(rv, 1 - m + m * x.var(axis=(0, 2, 3)) * cnt / (cnt - 1),
                                    rtol=1e-12)
 
+
+    @staticmethod
+    def case(seed, shape=(3, 4, 5, 6)):
+        """x, gamma, beta and the running mean and variance."""
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        return (rng.standard_normal(shape) * 2.0 + 0.5, rng.uniform(0.5, 1.5, c),
+                rng.standard_normal(c), rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_oracle(self, training):
+        # outputs and running buffers bitwise, with and without a tape;
+        # the gradients of x, gamma and beta within 1e-12
+        x, gamma, beta, rm, rv = self.case(70)
+        g = np.random.default_rng(71).standard_normal(x.shape)
+
+        def run(op, grad):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            stats = [rm.copy(), rv.copy()]
+            if not grad:
+                with ad.no_grad():
+                    return op(*leaves, *stats, training).data, stats, []
+            out = op(*leaves, *stats, training)
+            (out * g).sum().backward()
+            return out.data, stats, [t.grad for t in leaves]
+
+        for grad in (False, True):
+            out, stats, grads = run(ad.batch_norm2d, grad)
+            out_ref, stats_ref, grads_ref = run(composed_batch_norm2d, grad)
+            np.testing.assert_array_equal(out, out_ref)
+            for got, want in zip(stats, stats_ref):
+                np.testing.assert_array_equal(got, want)
+            assert len(grads) == (3 if grad else 0)
+            for got, want in zip(grads, grads_ref):
+                assert max_rel_err(got, want) < 1e-12
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_finite_difference(self, training):
+        x, gamma, beta, rm, rv = self.case(72, shape=(2, 3, 3, 4))
+        w = np.random.default_rng(73).standard_normal(x.shape)
+
+        def loss(xt, gt, bt):
+            out = ad.batch_norm2d(xt, gt, bt, rm.copy(), rv.copy(), training)
+            return (out ** 2.0 * w).sum()
+
+        assert ad.finite_difference_check(lambda t: loss(t, Tensor(gamma), Tensor(beta)), x) < 1e-5
+        assert ad.finite_difference_check(lambda t: loss(Tensor(x), t, Tensor(beta)), gamma) < 1e-5
+        assert ad.finite_difference_check(lambda t: loss(Tensor(x), Tensor(gamma), t), beta) < 1e-5
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_keeps_xhat_and_inverse_std(self, training):
+        x, gamma, beta, rm, rv = self.case(74)
+        out = ad.batch_norm2d(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                              Tensor(beta, requires_grad=True), rm, rv, training)
+        # x̂, then the per-channel inverse std and the gamma it scales
+        assert _retained_bytes(out._bw) == x.nbytes + 2 * gamma.nbytes
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_writes_into_no_input(self, training):
+        x, gamma, beta, rm, rv = self.case(75)
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        with ad.no_grad():
+            ad.batch_norm2d(*leaves, rm, rv, training)
+        out = ad.batch_norm2d(*leaves, rm, rv, training)
+        g = np.random.default_rng(76).standard_normal(x.shape)
+        g_in = g.copy()
+        out._bw(g_in)
+        np.testing.assert_array_equal(g_in, g)
+        for leaf, a in zip(leaves, (x, gamma, beta)):
+            np.testing.assert_array_equal(leaf.data, a)
+
+    @pytest.mark.parametrize("training,temporaries", [(False, 0), (True, 1)])
+    def test_no_grad_allocates_output_once(self, training, temporaries):
+        # the output, in train mode the squared deviations it sums, and up
+        # to 128 KiB of numpy's broadcasting buffers
+        x, gamma, beta, rm, rv = self.case(77, shape=(1, 8, 64, 64))
+        args = [Tensor(a) for a in (x, gamma, beta)] + [rm, rv, training]
+        with ad.no_grad():
+            ad.batch_norm2d(*args)  # warm up
+            tracemalloc.start()
+            ad.batch_norm2d(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < (1 + temporaries) * x.nbytes + 2 ** 17
 
 class TestBackward:
     def test_linear_grad(self):

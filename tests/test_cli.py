@@ -457,3 +457,4 @@ class TestGradcheck:
         assert "lif_3step_surrogate" in out
         assert "upsample_conv" in out
         assert "conv_stride2" in out and "conv_narrow" in out
+        assert "batch_norm_train" in out and "plif_3step" in out

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evrecon import autodiff as ad
 from evrecon import checkpoint
 from evrecon.autodiff import Tensor
 from evrecon.energy import count_ann_ops
@@ -339,6 +340,42 @@ class TestForward:
         images = net.forward_sequence(bins)
         assert len(images) == 3 and images[0].shape == (16, 16)
 
+
+
+class TestTapeSize:
+    """Tape nodes recorded by one training-mode step of the criterion-3 toy
+    network (32x32, 8 channels, 2 encoders, 1 residual block)."""
+
+    @staticmethod
+    def nodes_per_step(monkeypatch, **kw):
+        spec = NetworkSpec(height=32, width=32, n_channels=8, n_encoders=2, n_residual=1, **kw)
+        net = Network(spec, seed=0)
+        net.train_mode(True)
+        recorded = []
+        make_op = ad.make_op
+
+        def counting_make_op(data, parents, bw):
+            out = make_op(data, parents, bw)
+            recorded.append(out._bw is not None)
+            return out
+
+        monkeypatch.setattr(ad, "make_op", counting_make_op)
+        rng = np.random.default_rng(0)
+        counts = []
+        for _ in range(2):  # the second step's state carries a gradient
+            recorded.clear()
+            net.forward_step(rng.standard_normal((32, 32)))
+            counts.append(sum(recorded))
+        return counts
+
+    def test_toy_network(self, monkeypatch):
+        # the unfused neuron and batch-norm ops recorded 160 and 175
+        assert max(self.nodes_per_step(monkeypatch)) <= 42
+
+    def test_pa_evsnn_amp(self, monkeypatch):
+        # the unfused ops recorded 232 and 247; the AMP blocks keep most nodes
+        counts = self.nodes_per_step(monkeypatch, potential_assisted=True, amp_enabled=True)
+        assert max(counts) < 232
 
 class TestStateDict:
     def test_get_set_roundtrip(self):
