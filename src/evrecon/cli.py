@@ -22,7 +22,7 @@ from .events import (encode_voxel_grid, load_events, normalize_nonzero,
                      save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec, spike_rate
 from .neurons import NeuronConfig, SpikingLayer, lif_step, mp_step, surrogate_grad
-from .synthetic import SceneConfig, SceneMeta, generate_events
+from .synthetic import SceneConfig, SyntheticScene, generate_events
 from .training import TrainConfig, train, write_metrics_csv
 
 
@@ -92,13 +92,13 @@ def cmd_simulate(args):
     cfg = (config_from_dict(SceneConfig, _load_json(args.config), args.config)
            if args.config else SceneConfig())
     scene = cfg.scene(np.random.default_rng(args.seed))
-    events, frames, flows = generate_events(scene)
+    events, frames, _ = generate_events(scene)
     h, w = scene.texture.shape
     save_events(out / "events.txt", events, sensor_h=h, sensor_w=w)
     for i, frame in enumerate(frames):
         write_pgm(out / f"gt_{i:04d}.pgm", frame)
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(SceneMeta.of(scene, flows, args.seed)), fh)
+        json.dump(dict(asdict(scene), texture=scene.texture.tolist()), fh)
     print(f"wrote {len(events)} events and {len(frames)} frames to {out}")
     return 0
 
@@ -134,7 +134,7 @@ def cmd_train(args):
     if args.epochs is not None:
         cfg.epochs = args.epochs
     meta_path = Path(args.data) / "meta.json"
-    scene = config_from_dict(SceneMeta, _load_json(meta_path), meta_path).scene()
+    scene = config_from_dict(SyntheticScene, _load_json(meta_path), meta_path)
     net = Network(spec, seed=args.seed)
     if cfg.epochs > 0:
         train(net, [scene], cfg, log_path=out / "metrics.csv",
@@ -344,6 +344,17 @@ def _manual_lif_grad(w, xs, cfg):
 
 # -- argument parsing --------------------------------------------------------
 
+def _non_negative_int(text):
+    """An integer >= 0, the type of `--seed` and `--epochs`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_window_flags(p):
     p.add_argument("--bins", type=int, default=5)
     window = p.add_mutually_exclusive_group()
@@ -354,7 +365,7 @@ def _add_window_flags(p):
 def build_parser():
     parser = argparse.ArgumentParser(prog="evrecon",
                                      description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic scene: events + frames")
@@ -374,7 +385,7 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--train-config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_non_negative_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

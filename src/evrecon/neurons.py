@@ -39,6 +39,13 @@ SPIKING_KINDS = ("IF", "LIF", "PLIF")
 MP_KINDS = ("MP_LIF", "AMP_LIF")
 
 
+def _check_tau(tau, kind, name="tau"):
+    """ConfigError unless the fixed tau of a LIF or MP_LIF neuron is > 1:
+    at tau <= 1 the leak overshoots rest (tau = 0.5 takes v = 1 to -1)."""
+    if not tau > 1.0:
+        raise ConfigError(f"{name} must be > 1 for {kind}, got {tau}")
+
+
 @dataclass
 class NeuronConfig:
     kind: str = "LIF"
@@ -52,8 +59,8 @@ class NeuronConfig:
         if self.kind not in SPIKING_KINDS + MP_KINDS:
             raise ConfigError(f"unknown neuron kind {self.kind!r}")
         check_finite(self, "v_th", "v_reset", "v_rest", "tau")
-        if self.kind in ("LIF", "MP_LIF") and self.tau <= 1.0:
-            raise ConfigError(f"NeuronConfig.tau must be > 1 for {self.kind}, got {self.tau}")
+        if self.kind in ("LIF", "MP_LIF"):
+            _check_tau(self.tau, self.kind, "NeuronConfig.tau")
 
 
 def surrogate_grad(x):
@@ -111,8 +118,7 @@ def _charge_fire_reset(v_prev, x, inv, cfg):
 
 def lif_step(v_prev, x, cfg):
     """One leaky integrate-and-fire step: charge, spike, hard reset."""
-    if cfg.tau <= 0:
-        raise ConfigError(f"tau must be > 0, got {cfg.tau}")
+    _check_tau(cfg.tau, "LIF", "NeuronConfig.tau")
     return _charge_fire_reset(v_prev, x, 1.0 / cfg.tau, cfg)
 
 
@@ -138,7 +144,7 @@ def mp_step(v_prev, x, tau):
     one op.
 
     Returns (output, new state); the output is the potential itself.
-    `tau` is a float, or AMP's per-sample, per-channel Tensor of shape
+    `tau` is a float > 1, or AMP's per-sample, per-channel Tensor of shape
     (N, C, 1, 1).
     """
     v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
@@ -150,8 +156,7 @@ def mp_step(v_prev, x, tau):
         inv = 1.0 / tau.data
         parents = (v_prev, x, tau)
     else:
-        if tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {tau}")
+        _check_tau(tau, "MP_LIF")
         inv = 1.0 / tau
         parents = (v_prev, x)
     v_new = np.multiply(1.0 - inv, v_prev.data)

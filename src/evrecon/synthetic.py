@@ -1,7 +1,8 @@
 """Miniature event simulator: translating textures trigger threshold
 crossings in log intensity, yielding an event stream plus per-step
-ground-truth frames and flow. `SceneConfig` and `SceneMeta` are the
-checked JSON forms of a scene to draw and of a drawn scene."""
+ground-truth frames and flow. `SceneConfig` is the checked JSON form of a
+scene to draw (`simulate --config`), `SyntheticScene` that of a drawn
+scene (`meta.json`)."""
 
 from dataclasses import dataclass
 
@@ -17,9 +18,11 @@ LOG_EPS = 1e-3
 class SyntheticScene:
     """A grayscale texture translated by an integer trajectory (wrap-around).
 
-    `trajectory[s]` is the (dy, dx) shift applied between frames s and s+1;
-    its length sets the number of simulated steps. `contrast` is the log-
-    intensity threshold that triggers one event per crossing.
+    `texture` is 2-D with values in [0, 1]. `trajectory[s]` is the (dy, dx)
+    shift applied between frames s and s+1; its length, at least 1, sets
+    the number of simulated steps. `contrast` is the log-intensity
+    threshold that triggers one event per crossing. `meta.json` holds
+    exactly these four fields, the texture as rows.
     """
 
     texture: np.ndarray
@@ -28,9 +31,26 @@ class SyntheticScene:
     dt: float = 0.01
 
     def __post_init__(self):
-        self.texture = np.asarray(self.texture, dtype=np.float64)
+        try:
+            texture = np.asarray(self.texture)
+            numeric = texture.dtype.kind in "iuf"
+        except ValueError:  # ragged rows
+            numeric = False
+        if not numeric:
+            raise ConfigError("SyntheticScene.texture must be rows of numbers")
+        if texture.ndim != 2 or texture.size == 0:
+            raise ConfigError(f"SyntheticScene.texture must be 2-D and non-empty, "
+                              f"got shape {texture.shape}")
+        if not np.all((texture >= 0.0) & (texture <= 1.0)):
+            raise ConfigError("SyntheticScene.texture values must lie in [0, 1]")
+        self.texture = np.asarray(texture, dtype=np.float64)
+        check_field_types(self)
         _check_positive("SyntheticScene", "contrast", self.contrast)
         _check_positive("SyntheticScene", "dt", self.dt)
+        if not self.trajectory:
+            raise ConfigError("SyntheticScene.trajectory must hold at least one [dy, dx] shift")
+        _check_shifts("SyntheticScene", "trajectory", self.trajectory)
+        self.trajectory = [tuple(shift) for shift in self.trajectory]
 
     @property
     def steps(self):
@@ -106,7 +126,11 @@ def _check_shifts(owner, name, shifts):
 
 
 def _check_positive(owner, name, value):
-    if not 0.0 < value < float("inf"):
+    try:
+        ok = 0.0 < float(value) < float("inf")
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{owner}.{name} must be positive and finite, got {value!r}")
 
 
@@ -147,56 +171,3 @@ class SceneConfig:
         if self.motion is not None:
             scene.trajectory = [tuple(self.motion)] * (self.steps - 1)
         return scene
-
-
-@dataclass
-class SceneMeta:
-    """The `meta.json` that `simulate` writes and `train` reads: a drawn
-    scene (texture rows in [0, 1], trajectory, contrast, dt), its size and
-    step count, its flows (`scene_frames`) and the seed it was drawn with."""
-
-    height: int
-    width: int
-    steps: int
-    dt: float
-    contrast: float
-    trajectory: list
-    flows: list
-    texture: list
-    seed: int
-
-    def __post_init__(self):
-        check_field_types(self)
-        try:
-            texture = np.asarray(self.texture)
-            numeric = texture.dtype.kind in "iuf"
-        except ValueError:  # ragged rows
-            numeric = False
-        if not numeric:
-            raise ConfigError("SceneMeta.texture must be rows of numbers")
-        if texture.shape != (self.height, self.width) or texture.size == 0:
-            raise ConfigError(f"SceneMeta.texture is {texture.shape}, height and width "
-                              f"say {(self.height, self.width)}")
-        if not np.all((texture >= 0.0) & (texture <= 1.0)):
-            raise ConfigError("SceneMeta.texture values must lie in [0, 1]")
-        _check_positive("SceneMeta", "dt", self.dt)
-        _check_positive("SceneMeta", "contrast", self.contrast)
-        if self.steps < 2 or len(self.trajectory) != self.steps - 1:
-            raise ConfigError(f"SceneMeta.trajectory holds {len(self.trajectory)} shifts; "
-                              f"steps {self.steps} needs steps - 1 >= 1")
-        _check_shifts("SceneMeta", "trajectory", self.trajectory)
-        _check_shifts("SceneMeta", "flows", self.flows)
-        if [list(f) for f in self.flows] != [[0, 0]] + [list(t) for t in self.trajectory]:
-            raise ConfigError("SceneMeta.flows must be [0, 0] followed by the trajectory")
-
-    @classmethod
-    def of(cls, scene, flows, seed):
-        h, w = scene.texture.shape
-        return cls(height=h, width=w, steps=scene.steps, dt=scene.dt,
-                   contrast=scene.contrast, trajectory=list(scene.trajectory), flows=flows,
-                   texture=scene.texture.tolist(), seed=seed)
-
-    def scene(self):
-        return SyntheticScene(texture=np.array(self.texture),
-                              trajectory=[tuple(t) for t in self.trajectory],
-                              contrast=self.contrast, dt=self.dt)

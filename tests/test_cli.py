@@ -6,8 +6,11 @@ import pytest
 
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
-from evrecon.errors import ParseError
+from evrecon.errors import ParseError, config_from_dict
 from evrecon.model import Network
+from evrecon.synthetic import SceneConfig, SyntheticScene
+
+SIM_CONFIG = {"height": 16, "width": 16, "steps": 6, "contrast": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -15,8 +18,7 @@ def sim_dir(tmp_path_factory):
     """A small simulated scene shared by the pipeline tests."""
     out = tmp_path_factory.mktemp("sim")
     cfg = out / "scene.json"
-    cfg.write_text(json.dumps({"height": 16, "width": 16, "steps": 6,
-                               "contrast": 0.1}))
+    cfg.write_text(json.dumps(SIM_CONFIG))
     assert main(["--seed", "5", "simulate", "--config", str(cfg),
                  "--out", str(out)]) == 0
     return out
@@ -85,8 +87,7 @@ class TestSimulate:
 
     def test_deterministic_given_seed(self, sim_dir, tmp_path):
         cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps({"height": 16, "width": 16, "steps": 6,
-                                   "contrast": 0.1}))
+        cfg.write_text(json.dumps(SIM_CONFIG))
         main(["--seed", "5", "simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert (tmp_path / "events.txt").read_text() == \
             (sim_dir / "events.txt").read_text()
@@ -117,7 +118,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["trajectory"] == [[1, -1]] * 3
-        assert meta["flows"] == [[0, 0]] + [[1, -1]] * 3
+
+    def test_meta_is_the_drawn_scene(self, sim_dir):
+        # meta.json also held the size, step count and flows, all derived
+        # from texture and trajectory, and a seed that nothing read
+        meta = json.loads((sim_dir / "meta.json").read_text())
+        assert sorted(meta) == ["contrast", "dt", "texture", "trajectory"]
+        loaded = config_from_dict(SyntheticScene, meta, "meta.json")
+        drawn = SceneConfig(**SIM_CONFIG).scene(np.random.default_rng(5))
+        assert loaded.texture.dtype == drawn.texture.dtype
+        assert loaded.texture.tobytes() == drawn.texture.tobytes()
+        assert loaded.trajectory == drawn.trajectory
+        assert (loaded.contrast, loaded.dt) == (drawn.contrast, drawn.dt)
 
 
 class TestVoxelize:
@@ -266,7 +278,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("edit,field", [
         pytest.param(lambda m: m.pop("texture"), "texture", id="missing-texture"),
-        pytest.param(lambda m: m.update(texture=[[0.5]]), "texture", id="texture-size"),
+        pytest.param(lambda m: m.update(texture=[0.5] * 16), "texture", id="texture-size"),
         pytest.param(lambda m: m.update(texture=[["0.5"] * 16] * 16), "texture",
                      id="texture-not-numbers"),
         pytest.param(lambda m: m.update(texture=[[0.5] * 16] * 15 + [[0.5]]), "texture",
@@ -275,12 +287,15 @@ class TestTrain:
                      id="texture-above-1"),
         pytest.param(lambda m: m.update(dt="0.01"), "dt", id="wrong-type"),
         pytest.param(lambda m: m.update(dt=0.0), "dt", id="zero-dt"),
-        pytest.param(lambda m: m["trajectory"].pop(), "trajectory", id="short-trajectory"),
+        pytest.param(lambda m: m.update(trajectory=[]), "trajectory", id="short-trajectory"),
         pytest.param(lambda m: m["trajectory"].__setitem__(0, [1]), "trajectory",
                      id="bad-shift"),
-        pytest.param(lambda m: m["flows"].__setitem__(1, [9, 9]), "flows", id="flows-disagree"),
-        pytest.param(lambda m: m.update(flows=[1, 2]), "flows", id="flows-not-pairs"),
         pytest.param(lambda m: m.update(extra=1), "extra", id="unknown-key"),
+        # the format of older versions: simulate such a directory again
+        pytest.param(lambda m: m.update(height=16, width=16, steps=6, seed=5,
+                                        flows=[[0, 0]] + m["trajectory"]),
+                     "unknown SyntheticScene key(s): flows, height, seed, steps, width",
+                     id="older-format"),
     ])
     def test_bad_meta_names_the_file_and_field(self, sim_dir, tmp_path, capsys, edit, field):
         # a raw KeyError for a missing texture before
@@ -336,6 +351,18 @@ class TestTrain:
         assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
                      "--train-config", str(tc), "--out", str(tmp_path)]) == 1
         assert "unknown TrainConfig key(s): seed" in capsys.readouterr().err
+
+    def test_negative_epochs_is_an_argument_error(self, sim_dir, tmp_path, capsys):
+        # accepted before: it saved an untrained checkpoint and a header-only metrics.csv
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                  "--epochs", "-3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --epochs: expected an integer >= 0, got '-3'")
+        assert not (tmp_path / "o").exists()
 
 
 class TestReconstruct:
@@ -458,3 +485,23 @@ class TestGradcheck:
         assert "upsample_conv" in out
         assert "conv_stride2" in out and "conv_narrow" in out
         assert "batch_norm_train" in out and "plif_3step" in out
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["simulate", "train", "profile", "gradcheck"])
+    def test_negative_seed_is_an_argument_error(self, sim_dir, tmp_path, capsys, command):
+        # np.random.default_rng ended each in a raw ValueError traceback before
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        out = str(tmp_path / "o")
+        flags = {"simulate": ["--out", out],
+                 "train": ["--spec", str(spec), "--data", str(sim_dir), "--epochs", "0",
+                           "--out", out],
+                 "profile": ["--spec", str(spec)],
+                 "gradcheck": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", command] + flags)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --seed: expected an integer >= 0, got '-1'")
+        assert not (tmp_path / "o").exists()

@@ -529,5 +529,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             NeuronConfig(kind="LIF", tau=tau)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_steps_hold_the_config_tau_rule(self, tau):
+        # both steps refused only tau <= 0, so at tau 0.5 the leak took
+        # v = 1 with no input to v = -1
+        with pytest.raises(ConfigError, match="tau must be > 1 for LIF"):
+            lif_step(Tensor(np.array(1.0)), Tensor(np.array(0.0)),
+                     NeuronConfig(kind="IF", tau=tau, v_th=10.0))
+        with pytest.raises(ConfigError, match="tau must be > 1 for MP_LIF"):
+            mp_step(1.0, 0.0, tau)
+
     def test_if_ignores_tau_constraint(self):
         NeuronConfig(kind="IF")  # should not raise

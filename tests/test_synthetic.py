@@ -55,9 +55,22 @@ class TestScene:
         with pytest.raises(ConfigError):
             SyntheticScene(texture=np.ones((4, 4)), trajectory=[(0, 0)], dt=-1.0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("texture,trajectory,field", [
+        pytest.param(np.full((4, 4), 1.5), [(0, 0)], "texture", id="texture-above-1"),
+        pytest.param(np.ones(4), [(0, 0)], "texture", id="texture-1d"),
+        pytest.param(np.ones((4, 4)), [], "trajectory", id="one-frame"),
+        pytest.param(np.ones((4, 4)), [(0.5, 0)], "trajectory", id="fractional-shift"),
+    ])
+    def test_in_program_scenes_are_checked(self, texture, trajectory, field):
+        # only meta.json scenes were checked; these ran before
+        with pytest.raises(ConfigError, match=f"SyntheticScene.{field}"):
+            SyntheticScene(texture=texture, trajectory=trajectory)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       pytest.param(10 ** 400, id="int-beyond-float")])
     def test_non_finite_contrast_and_dt(self, value):
-        # a NaN contrast passed, then generate_events died in np.repeat
+        # a NaN contrast passed, then generate_events died in np.repeat; an
+        # integer beyond the float range died there in an OverflowError
         for field in ("contrast", "dt"):
             with pytest.raises(ConfigError,
                                match=f"SyntheticScene.{field} must be positive and finite"):
@@ -171,7 +184,6 @@ class TestGenerateEventsOracle:
                                     dt=0.003), id="ramp-low-contrast"),
         pytest.param(SyntheticScene(texture=np.full((8, 8), 0.5), trajectory=[(1, 1)] * 3),
                      id="flat-no-events"),
-        pytest.param(SyntheticScene(texture=np.eye(4), trajectory=[]), id="one-frame"),
     ])
     def test_same_events_values_types_and_order(self, scene):
         events, frames, flows = generate_events(scene)
