@@ -7,6 +7,7 @@ reverse topological sweep, summing gradients across all uses.
 """
 
 from contextlib import contextmanager
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -336,14 +337,42 @@ def transpose(a):
 
 # -- convolution and friends -------------------------------------------------
 
+def zero_pad(x, top, bottom, left, right):
+    """x (..., H, W) with zero rows added above and below and zero columns
+    left and right of its last two axes; equals np.pad's constant mode."""
+    *lead, h, w = x.shape
+    out = np.zeros((*lead, top + h + bottom, left + w + right), dtype=x.dtype)
+    out[..., top:top + h, left:left + w] = x
+    return out
+
+
+_workspace = np.empty(0)  # grow-only buffer behind every conv column block
+
+
+def _columns(shape):
+    """A float64 `shape` view of the start of the column workspace, which
+    grows when too small. Its contents last until the next call, so no
+    returned array or backward closure may hold it; evrecon runs ops on
+    one thread. Reuse spares a fresh block's page faults: glibc unmaps a
+    freed block above 32 MB and faults it in again on the next call."""
+    global _workspace
+    size = math.prod(shape)
+    if size > _workspace.size:
+        _workspace = np.empty(size)
+    return _workspace[:size].reshape(shape)
+
+
 def _conv(x, w, stride, padding, need_x, need_w):
     """Cross-correlation of arrays x (N,C_in,H,W) and w (C_out,C_in,k,k);
     returns the output and its backward g -> (gx, gw), where a gradient
     not needed is None. The backward keeps only the padded input.
 
-    Channel-first form: k*k strided slices of the padded input fill a
-    (N, C_in*k*k, H_out*W_out) column block, and one `wmat @ cols` GEMM
-    writes the NCHW output. The backward gathers the columns again.
+    Channel-first form: one copy of a strided k x k window view of the
+    padded input fills an (N, C_in*k*k, H_out*W_out) column block, and one
+    `wmat @ cols` GEMM writes the NCHW output. The backward gathers the
+    columns again for the weight gradient, then computes `wmat.T @ g` and
+    scatters it with k*k slice adds. Every column block lives in the
+    reused workspace (`_columns`), never in a returned array.
 
     Output-shift form, for stride 1 with C_out < C_in (the prediction
     conv): one GEMM of the (k*k*C_out, C_in) tap-major kernel with the
@@ -359,7 +388,7 @@ def _conv(x, w, stride, padding, need_x, need_w):
     taps = [(i, j) for i in range(k) for j in range(k)]
 
     if stride == 1 and c_out < c_in:
-        flat = np.pad(x, ((0, 0), (0, 0), (padding, padding + 1), (padding, padding)))
+        flat = zero_pad(x, padding, padding + 1, padding, padding)
         flat = flat.reshape(n, c_in, (hp + 1) * wp)
         wtap = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
         span = h_out * wp
@@ -388,31 +417,30 @@ def _conv(x, w, stride, padding, need_x, need_w):
 
         return out, bw
 
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    xp = zero_pad(x, padding, padding, padding, padding) if padding else x
     wmat = w.reshape(c_out, c_in * k * k)
-
-    def window(i, j):
-        return (slice(None), slice(None), slice(i, i + stride * h_out, stride),
-                slice(j, j + stride * w_out, stride))
+    col_shape = (n, c_in * k * k, h_out * w_out)
 
     def gather():
-        cols = np.empty((n, c_in, k, k, h_out, w_out))
-        for i, j in taps:
-            cols[:, :, i, j] = xp[window(i, j)]
-        return cols.reshape(n, c_in * k * k, h_out * w_out)
+        cols = _columns(col_shape)
+        windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        np.copyto(cols.reshape(n, c_in, k, k, h_out, w_out), windows.transpose(0, 1, 4, 5, 2, 3))
+        return cols
 
     out = (wmat @ gather()).reshape(n, c_out, h_out, w_out)
 
     def bw(g):
         g = g.reshape(n, c_out, h_out * w_out)
         gx = gw = None
-        if need_w:  # first, so that the gathered columns are freed before gcols exists
+        if need_w:  # first: gcols below overwrites the gathered columns
             gw = (g @ gather().transpose(0, 2, 1)).sum(0).reshape(w.shape)
         if need_x:
-            gcols = (wmat.T @ g).reshape(n, c_in, k, k, h_out, w_out)
+            gcols = np.matmul(wmat.T, g, out=_columns(col_shape))
+            gcols = gcols.reshape(n, c_in, k, k, h_out, w_out)
             gxp = np.zeros(xp.shape)
             for i, j in taps:
-                gxp[window(i, j)] += gcols[:, :, i, j]
+                gxp[:, :, i:i + stride * h_out:stride,
+                    j:j + stride * w_out:stride] += gcols[:, :, i, j]
             gx = gxp[:, :, padding:padding + h, padding:padding + wd]
         return gx, gw
 
@@ -528,16 +556,22 @@ def separable_filter(x, taps):
         rows = np.einsum("...hwk,k->...hw", sliding_window_view(a, k, axis=-2), taps)
         return np.einsum("...hwk,k->...hw", sliding_window_view(rows, k, axis=-1), taps)
 
-    pad = [(0, 0)] * (x.ndim - 2) + [(k - 1, k - 1)] * 2
     return make_op(filter_valid(x.data, taps), (x,),
-                   lambda g: (filter_valid(np.pad(g, pad), taps[::-1]),))
+                   lambda g: (filter_valid(zero_pad(g, k - 1, k - 1, k - 1, k - 1), taps[::-1]),))
+
+
+_DEPTHWISE_GROUP = 32768  # elements of the input planes one forward group covers
 
 
 def depthwise_conv3x3(x, weight, bias=None):
     """Per-channel 3x3 convolution, stride 1, padding 1.
 
     weight has shape (C, 3, 3) and bias (C,); each channel is filtered
-    independently.
+    independently. The forward runs over groups of channels whose planes
+    hold at most _DEPTHWISE_GROUP elements together (at least one channel),
+    so the nine shifted taps of a group are summed while its planes are
+    still in cache; each output element sums its taps in the same order
+    whatever the grouping.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     n, c, h, w = x.shape
@@ -547,11 +581,15 @@ def depthwise_conv3x3(x, weight, bias=None):
         bias = as_tensor(bias)
         if bias.shape != (c,):
             raise ShapeError(f"depthwise bias shape {bias.shape} != ({c},)")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = zero_pad(x.data, 1, 1, 1, 1)
     out = np.zeros((n, c, h, w))
-    for i in range(3):
-        for j in range(3):
-            out += weight.data[:, i, j][None, :, None, None] * xp[:, :, i:i + h, j:j + w]
+    group = max(1, _DEPTHWISE_GROUP // (n * h * w))
+    for c0 in range(0, c, group):
+        cs = slice(c0, c0 + group)
+        for i in range(3):
+            for j in range(3):
+                tap = weight.data[cs, i, j][None, :, None, None]
+                out[:, cs] += tap * xp[:, cs, i:i + h, j:j + w]
 
     def bw(g):
         gw = np.zeros_like(weight.data)

@@ -8,7 +8,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .events import (encode_voxel_grid, load_events, normalize_nonzero,
 from .model import Network, NetworkSpec, spike_rate
 from .neurons import NeuronConfig, SpikingLayer, lif_step, mp_step, surrogate_grad
 from .synthetic import SceneConfig, SyntheticScene, generate_events
-from .training import TrainConfig, train, write_metrics_csv
+from .training import TrainConfig, train
 
 
 def write_pgm(path, img):
@@ -132,16 +132,13 @@ def cmd_train(args):
     cfg = (config_from_dict(TrainConfig, _load_json(args.train_config), args.train_config)
            if args.train_config else TrainConfig())
     if args.epochs is not None:
-        cfg.epochs = args.epochs
+        cfg = replace(cfg, epochs=args.epochs)
     meta_path = Path(args.data) / "meta.json"
     scene = config_from_dict(SyntheticScene, _load_json(meta_path), meta_path)
     net = Network(spec, seed=args.seed)
-    if cfg.epochs > 0:
-        train(net, [scene], cfg, log_path=out / "metrics.csv",
-              progress=lambda r: print(f"epoch {r['epoch']}: loss {r['loss']:.4f} "
-                                       f"mse {r['mse']:.4f}"))
-    else:
-        write_metrics_csv(out / "metrics.csv", [])
+    train(net, [scene], cfg, log_path=out / "metrics.csv",
+          progress=lambda r: print(f"epoch {r['epoch']}: loss {r['loss']:.4f} "
+                                   f"mse {r['mse']:.4f}"))
     net.save(out / "checkpoint.spkt")
     print(f"saved checkpoint to {out / 'checkpoint.spkt'}")
     return 0

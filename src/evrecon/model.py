@@ -320,7 +320,7 @@ class Network:
                              f"spec wants {spec.height}x{spec.width}")
         ph, pw = self._pad
         if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)))
+            x = ad.zero_pad(x, 0, ph, 0, pw)
 
         def fire(stage, inp):
             """Conv, spiking neuron and potential neuron; returns (spikes, potential)."""

@@ -36,11 +36,14 @@ class TrainConfig:
     def __post_init__(self):
         check_field_types(self)
         check_finite(self, "lr", "lambda_tc")
-        for name in ("epochs", "batch", "loss_every", "seq_len", "bins_per_window"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.lr < 0 or self.lambda_tc < 0 or self.l0 < 0:
-            raise ConfigError("lr, lambda_tc, and l0 must be non-negative")
+        for name in ("batch", "loss_every", "seq_len", "bins_per_window"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"TrainConfig.{name} must be positive, got {value}")
+        for name in ("epochs", "lr", "lambda_tc", "l0"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"TrainConfig.{name} must be non-negative, got {value}")
 
 
 def _as_batch(x):

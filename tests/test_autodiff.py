@@ -228,6 +228,142 @@ class TestConvKernel:
         np.testing.assert_array_equal(out.data, plain.data + b.data.reshape(1, 3, 1, 1))
 
 
+def slice_gather_conv(x, w, stride, padding, need_x=True, need_w=True):
+    """The channel-first kernel before the column workspace: k*k strided
+    slice copies fill a column block that numpy allocates fresh on every
+    call, in the forward and again in the backward. Channel-first form
+    only, so not for stride 1 with C_out < C_in."""
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    assert not (stride == 1 and c_out < c_in), "the output-shift form"
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wd + 2 * padding - k) // stride + 1
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    wmat = w.reshape(c_out, c_in * k * k)
+
+    def window(i, j):
+        return (slice(None), slice(None), slice(i, i + stride * h_out, stride),
+                slice(j, j + stride * w_out, stride))
+
+    def gather():
+        cols = np.empty((n, c_in, k, k, h_out, w_out))
+        for i, j in taps:
+            cols[:, :, i, j] = xp[window(i, j)]
+        return cols.reshape(n, c_in * k * k, h_out * w_out)
+
+    out = (wmat @ gather()).reshape(n, c_out, h_out, w_out)
+
+    def bw(g):
+        g = g.reshape(n, c_out, h_out * w_out)
+        gx = gw = None
+        if need_w:
+            gw = (g @ gather().transpose(0, 2, 1)).sum(0).reshape(w.shape)
+        if need_x:
+            gcols = (wmat.T @ g).reshape(n, c_in, k, k, h_out, w_out)
+            gxp = np.zeros(xp.shape)
+            for i, j in taps:
+                gxp[window(i, j)] += gcols[:, :, i, j]
+            gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+        return gx, gw
+
+    return out, bw
+
+
+class TestColumnWorkspace:
+    """`ad._conv`'s strided-view gather into the reused column workspace
+    against the slice gather into fresh blocks that it replaced: every
+    output and gradient bitwise equal, and no result aliasing the
+    workspace."""
+
+    @staticmethod
+    def run_both(monkeypatch, op, x, w, b, **kw):
+        g = np.random.default_rng(9).standard_normal(
+            getattr(ad, op)(Tensor(x), Tensor(w), **kw).shape)
+        kernel = ad._conv
+        got = TestConvKernel.run(monkeypatch, kernel, op, x, w, b, g, **kw)
+        want = TestConvKernel.run(monkeypatch, slice_gather_conv, op, x, w, b, g, **kw)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            np.testing.assert_array_equal(a, e, err_msg=name)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_matches_slice_gather(self, monkeypatch, stride, k):
+        rng = np.random.default_rng(40 + k)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 3, 9, 8), (5, 3, k, k), 5))
+        self.run_both(monkeypatch, "conv2d", x, w, b, stride=stride, padding=k // 2)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_upsample2x_conv2d_matches_slice_gather(self, monkeypatch, k):
+        rng = np.random.default_rng(50 + k)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 6, 5, 4), (3, 6, k, k), 3))
+        self.run_both(monkeypatch, "upsample2x_conv2d", x, w, b)
+
+    def test_output_survives_later_convs(self, monkeypatch):
+        monkeypatch.setattr(ad, "_workspace", np.empty(0))
+        out = ad.conv2d(Tensor(rand(1, 3, 8, 8)), Tensor(rand(4, 3, 3, 3, seed=1)), padding=1)
+        want = out.data.copy()
+        ad.conv2d(Tensor(rand(1, 6, 16, 16, seed=2)), Tensor(rand(8, 6, 5, 5, seed=3)),
+                  padding=2)  # a larger block: the workspace grows
+        ad.conv2d(Tensor(rand(1, 2, 4, 4, seed=4)), Tensor(rand(2, 2, 3, 3, seed=5)),
+                  padding=1)  # a smaller one: the workspace's start is overwritten
+        np.testing.assert_array_equal(out.data, want)
+
+    def test_training_order_matches_fresh_blocks(self, monkeypatch):
+        # forward through three convs, then their backwards in reverse, as a
+        # training step does; column blocks of 18000, 3240 and 4320 elements
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal((2, 3, 12, 10))
+        ws = [rng.standard_normal(s) for s in ((6, 3, 5, 5), (8, 6, 3, 3), (3, 8, 3, 3))]
+
+        def run(kernel):
+            monkeypatch.setattr(ad, "_conv", kernel)
+            monkeypatch.setattr(ad, "_workspace", np.empty(0))
+            xt = Tensor(x, requires_grad=True)
+            wts = [Tensor(w, requires_grad=True) for w in ws]
+            h = ad.sigmoid(ad.conv2d(xt, wts[0], padding=2))
+            h = ad.sigmoid(ad.conv2d(h, wts[1], stride=2, padding=1))
+            h = ad.upsample2x_conv2d(h, wts[2])
+            (h * h).sum().backward()
+            return [h.data, xt.grad] + [w.grad for w in wts]
+
+        kernel = ad._conv
+        got, want = run(kernel), run(slice_gather_conv)
+        for a, e in zip(got, want):
+            np.testing.assert_array_equal(a, e)
+
+    def test_no_result_shares_the_workspace(self, monkeypatch):
+        monkeypatch.setattr(ad, "_workspace", np.empty(0))
+        ad.conv2d(Tensor(rand(1, 4, 16, 16)), Tensor(rand(4, 4, 5, 5, seed=1)),
+                  padding=2)  # grows the workspace past every block below
+        workspace = ad._workspace
+        results = []
+        for op, kw in (("conv2d", {"padding": 1}), ("conv2d", {"stride": 2, "padding": 1}),
+                       ("upsample2x_conv2d", {})):
+            xt = Tensor(rand(2, 3, 6, 5, seed=2), requires_grad=True)
+            wt = Tensor(rand(4, 3, 3, 3, seed=3), requires_grad=True)
+            bt = Tensor(rand(4, seed=4), requires_grad=True)
+            out = getattr(ad, op)(xt, wt, bt, **kw)
+            workspace.fill(np.nan)  # the backward must not read what its forward left there
+            (out * out).sum().backward()
+            results += [out.data, xt.grad, wt.grad, bt.grad]
+        assert ad._workspace is workspace
+        for a in results:
+            assert np.isfinite(a).all() and not np.shares_memory(a, workspace)
+
+
+def unblocked_depthwise_conv3x3(x, w):
+    """The depthwise forward before channel blocking: each of the nine
+    taps runs over every channel at once."""
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((n, c, h, wd))
+    for i in range(3):
+        for j in range(3):
+            out += w[:, i, j][None, :, None, None] * xp[:, :, i:i + h, j:j + wd]
+    return out
+
+
 class TestDepthwiseConv3x3:
     def test_bias_matches_a_separate_add(self):
         # the oracle is the old composition: the op without bias, then a
@@ -250,6 +386,16 @@ class TestDepthwiseConv3x3:
         np.testing.assert_array_equal(out.data, want.data)
         for got, ref in zip(grads, want_grads):
             assert max_rel_err(got, ref) < 1e-12
+
+    @pytest.mark.parametrize("shape", [
+        pytest.param((1, 3, 190, 180), id="plane-above-a-group"),    # one channel per group
+        pytest.param((2, 11, 64, 64), id="short-last-group"),        # groups of 4 channels
+        pytest.param((1, 5, 7, 9), id="one-group"),
+    ])
+    def test_channel_groups_match_unblocked_loop(self, shape):
+        x, w = rand(*shape, seed=31), rand(shape[1], 3, 3, seed=32)
+        got = ad.depthwise_conv3x3(Tensor(x), Tensor(w)).data
+        np.testing.assert_array_equal(got, unblocked_depthwise_conv3x3(x, w))
 
     def test_bias_shape_error(self):
         with pytest.raises(ShapeError):
@@ -541,6 +687,20 @@ class TestBackward:
         gx1, gw1 = run()
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+class TestZeroPad:
+    @pytest.mark.parametrize("shape,pads", [
+        ((3, 4), (1, 2, 0, 3)), ((2, 3, 5, 6), (2, 2, 2, 2)),
+        ((2, 1, 4, 4), (0, 3, 0, 1)), ((1, 2, 3, 4, 5), (0, 0, 0, 0))])
+    def test_matches_np_pad(self, shape, pads):
+        x = rand(*shape)
+        top, bottom, left, right = pads
+        want = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)])
+        got = ad.zero_pad(x, *pads)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, x)
 
 
 class TestSeparableFilter:

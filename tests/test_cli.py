@@ -258,6 +258,31 @@ class TestTrain:
         assert (tmp_path / "metrics.csv").read_text().split() == [
             "epoch,loss,mse,ssim,spike_rate"]
 
+    def test_zero_epochs_flag_and_config_agree(self, sim_dir, tmp_path):
+        # "epochs": 0 in train.json failed with "epochs must be positive" before
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "n_channels": 4,
+                                    "n_encoders": 2, "n_residual": 1}))
+        tc = tmp_path / "train.json"
+        tc.write_text(json.dumps({"epochs": 0}))
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--epochs", "0", "--out", str(tmp_path / "flag")]) == 0
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--train-config", str(tc), "--out", str(tmp_path / "config")]) == 0
+        for name in ("checkpoint.spkt", "metrics.csv"):
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+
+    def test_zero_batch_names_the_file_and_field(self, sim_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16}))
+        tc = tmp_path / "train.json"
+        tc.write_text(json.dumps({"batch": 0}))
+        assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
+                     "--train-config", str(tc), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tc}: TrainConfig.batch must be positive, got 0")
+
     def test_unknown_spec_key_is_an_error(self, sim_dir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"height": 16, "width": 16, "chanels": 4}))

@@ -29,11 +29,24 @@ class TestConfig:
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
+            TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):
             TrainConfig(lr=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(lambda_tc=-1.0)
+
+    def test_zero_epochs_is_valid(self):
+        assert TrainConfig(epochs=0).epochs == 0
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("batch", 0, "positive"), ("loss_every", 0, "positive"), ("seq_len", -2, "positive"),
+        ("bins_per_window", 0, "positive"), ("epochs", -1, "non-negative"),
+        ("lr", -0.1, "non-negative"), ("lambda_tc", -1.0, "non-negative"),
+        ("l0", -1, "non-negative")])
+    def test_range_error_names_field(self, field, value, rule):
+        with pytest.raises(ConfigError,
+                           match=rf"^TrainConfig\.{field} must be {rule}, got {value}$"):
+            TrainConfig(**{field: value})
 
 
     @pytest.mark.parametrize("field,value", [
