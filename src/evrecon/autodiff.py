@@ -3,7 +3,9 @@
 Everything runs in float64. Ops record themselves onto the implicit tape
 (parent links + backward closures) whenever gradients are enabled and at
 least one input requires them; `backward()` on a scalar then does one
-reverse topological sweep, summing gradients across all uses.
+reverse topological sweep, summing gradients across all uses. The sweep
+consumes the graph: each saved array is freed as soon as its last reader
+has run, so a training step's memory stays at its forward's peak.
 """
 
 from contextlib import contextmanager
@@ -32,6 +34,11 @@ def no_grad():
 def grad_enabled():
     """False inside `no_grad`, where ops record no tape nodes."""
     return _grad_enabled
+
+
+def _consumed(grad):
+    """The backward closure of a node that a backward already swept."""
+    raise ContractError("backward() through a graph a backward already consumed")
 
 
 def _unbroadcast(grad, shape):
@@ -83,6 +90,14 @@ class Tensor:
 
     # -- graph machinery -----------------------------------------------------
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `.grad` of every leaf that
+        requires gradients.
+
+        The sweep consumes the graph as it walks it: each interior node
+        loses its parents, closure and gradient once its closure has run.
+        Leaves keep their `.grad`. A second `backward()` through a consumed
+        node raises ContractError; `detach()` makes its value usable again.
+        """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar tensor")
         topo = []
@@ -101,13 +116,17 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._bw is None:
                 continue
             for parent, g in zip(node._parents, node._bw(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+            # drop the node's links, closure and gradient, so every array
+            # its closure saved is freed once its last reader has run
+            node._parents, node.grad, node._bw = (), None, _consumed
 
     # -- operators -----------------------------------------------------------
     def __add__(self, other):

@@ -209,18 +209,20 @@ def cmd_profile(args):
         print(json.dumps(result, indent=2))
         return 0
 
+    net = None
     if args.checkpoint:
         net = Network.load(args.checkpoint)
         spec = net.spec
     elif args.spec:
         spec = config_from_dict(NetworkSpec, _load_json(args.spec), args.spec)
-        net = Network(spec, seed=args.seed)
     else:
         raise ConfigError("give --checkpoint, --spec, or --paper-rates")
     counts = energy_mod.count_ann_ops(spec)
     stats = None
     empty_rate = None
     if args.events:
+        if net is None:  # only measured spike rates need a network
+            net = Network(spec, seed=args.seed)
         stats = energy_mod.measure_spike_rates(net, [_network_bins(args, spec)],
                                                op_counts=counts)
         empty_bins = [np.zeros((spec.height, spec.width))] * 10

@@ -11,6 +11,7 @@ internally.
 
 import bisect
 import gc
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -129,41 +130,18 @@ def _check_sensor(h, w, error, **where):
 def _parse(lines):
     """(events, sensor size or None) of the lines of an event file.
 
-    One bulk pass: strip comments and blank lines, read every record in one
-    numpy call, check the columns, and raise for the earliest bad line.
+    One bulk pass: numpy reads every record in one call, skipping comments
+    and blank lines itself, and the columns are checked. Only a rejected
+    file has its lines numbered, to name the earliest bad one.
     """
     sensor = _sensor_size(lines)
-    # every line without its comment and surrounding whitespace
-    text = list(map(str.strip, map(itemgetter(0), map(str.partition, lines, repeat("#")))))
-    lineno = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
-    content = list(filter(None, text))
     try:
-        records, bad = _records(content), len(content)
+        records = _records(lines)
     except ValueError:
-        bad = _first_unreadable(content)
-        records = _records(content[:bad])
+        records = None
+    if records is None or _first_rejection(records, sensor) is not None:
+        _reject(lines, records, sensor)
     t, x, y, p = (records[name] for name in _RECORD.names)
-    checks = [  # (rejected records, error type, message); on one line the first wins
-        (~np.isin(p, (0, 1, -1)), ParseError, "polarity must be 0/1 (or -1), got {p}"),
-        (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
-        (np.r_[False, t[1:] < t[:-1]], OrderingError, "timestamp {t} decreases below {t_prev}"),
-    ]
-    if sensor is not None:
-        h, w = sensor
-        checks.append(((x < 0) | (x >= w) | (y < 0) | (y >= h), ParseError,
-                       f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} "
-                       "sensor of the header"))
-    rejected = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks) if mask.any()]
-    if rejected:
-        i, k = min(rejected)
-        _, error, message = checks[k]
-        raise error(message.format(t=t[i], t_prev=t[i - 1], x=x[i], y=y[i], p=p[i]),
-                    line=int(lineno[i]))
-    if bad < len(content):
-        fields = len(content[bad].split())
-        raise ParseError(f"expected 4 fields 't x y p', got {fields}" if fields != 4 else
-                         f"bad field value in {content[bad]!r}: t must be a decimal "
-                         "number and x, y, p int64 integers", line=int(lineno[bad]))
     columns = t.tolist(), x.tolist(), y.tolist(), np.where(p == 1, 1, -1).tolist()
     # Events hold only numbers and form no reference cycles, so a garbage
     # collection while they are built scans every one of them and frees
@@ -178,12 +156,55 @@ def _parse(lines):
     return events, sensor
 
 
+def _first_rejection(records, sensor):
+    """(index, error type, message) of the first record a column check
+    rejects, or None."""
+    t, x, y, p = (records[name] for name in _RECORD.names)
+    checks = [  # (rejected records, error type, message); on one record the first wins
+        (~np.isin(p, (0, 1, -1)), ParseError, "polarity must be 0/1 (or -1), got {p}"),
+        (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
+        (np.r_[False, t[1:] < t[:-1]], OrderingError, "timestamp {t} decreases below {t_prev}"),
+    ]
+    if sensor is not None:
+        h, w = sensor
+        checks.append(((x < 0) | (x >= w) | (y < 0) | (y >= h), ParseError,
+                       f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} "
+                       "sensor of the header"))
+    rejected = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks) if mask.any()]
+    if not rejected:
+        return None
+    i, k = min(rejected)
+    _, error, message = checks[k]
+    return i, error, message.format(t=t[i], t_prev=t[i - 1], x=x[i], y=y[i], p=p[i])
+
+
+def _reject(lines, records, sensor):
+    """Raise ParseError for the earliest bad line of a rejected file, given
+    its records, or None if some line is not a record."""
+    # every line without its comment and surrounding whitespace
+    text = list(map(str.strip, map(itemgetter(0), map(str.partition, lines, repeat("#")))))
+    lineno = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
+    content = list(filter(None, text))
+    bad = len(content)
+    if records is None:
+        bad = _first_unreadable(content)
+        records = _records(content[:bad])
+    rejection = _first_rejection(records, sensor)
+    if rejection is not None:
+        i, error, message = rejection
+        raise error(message, line=int(lineno[i]))
+    fields = len(content[bad].split())
+    raise ParseError(f"expected 4 fields 't x y p', got {fields}" if fields != 4 else
+                     f"bad field value in {content[bad]!r}: t must be a decimal "
+                     "number and x, y, p int64 integers", line=int(lineno[bad]))
+
+
 def _records(lines):
-    """The t, x, y, p columns of non-blank, comment-free lines; ValueError
-    if any line is not a record."""
-    if not lines:
-        return np.zeros(0, _RECORD)
-    return np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
+    """The t, x, y, p columns of the records among `lines`, skipping '#'
+    comments and blank lines; ValueError if any other line is not a record."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns when no line is a record
+        return np.loadtxt(lines, dtype=_RECORD, comments="#", ndmin=1)
 
 
 def _first_unreadable(lines):

@@ -33,9 +33,18 @@ from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .errors import (ConfigError, ContractError, ParseError, ShapeError, check_field_types,
                      config_from_dict)
+from .events import MAX_SENSOR_SIDE
 from .neurons import SPIKING_KINDS, MPLayer, NeuronConfig, SpikingLayer
 
 SKIP_KINDS = ("ADD", "OR", "IAND", "CONCAT")
+_KERNEL_FIELDS = ("head_kernel", "encoder_kernel", "residual_kernel", "decoder_kernel",
+                  "prediction_kernel")
+# Upper bounds on a spec's sizes (height and width take MAX_SENSOR_SIDE), so
+# an oversized spec fails at once instead of exhausting memory while its
+# stage table or network is built.
+MAX_CHANNELS = 1024
+MAX_RESIDUAL = 64
+MAX_KERNEL = 31
 
 
 @dataclass
@@ -60,8 +69,13 @@ class NetworkSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("head_kernel", "encoder_kernel", "residual_kernel",
-                     "decoder_kernel", "prediction_kernel"):
+        for name, bound in [("height", MAX_SENSOR_SIDE), ("width", MAX_SENSOR_SIDE),
+                            ("n_channels", MAX_CHANNELS), ("n_residual", MAX_RESIDUAL),
+                            *((name, MAX_KERNEL) for name in _KERNEL_FIELDS)]:
+            if getattr(self, name) > bound:
+                raise ConfigError(f"NetworkSpec.{name} must be at most {bound}, "
+                                  f"got {getattr(self, name)}")
+        for name in _KERNEL_FIELDS:
             k = getattr(self, name)
             if k < 1 or k % 2 == 0:
                 raise ConfigError(f"NetworkSpec.{name} must be odd and positive, got {k}")
@@ -74,7 +88,8 @@ class NetworkSpec:
             raise ConfigError("n_channels/n_encoders must be >= 1, n_residual >= 0")
         if self.amp_enabled and not self.potential_assisted:
             raise ConfigError("amp_enabled requires potential_assisted")
-        if self.height < 2 ** self.n_encoders or self.width < 2 ** self.n_encoders:
+        # a side below 2**n_encoders, found without raising 2 to a huge power
+        if min(self.height, self.width) >> self.n_encoders < 1:
             raise ConfigError("input too small for the encoder stride schedule")
         for kind in filter(None, (self.neuron_kind, self.potential_kind)):
             try:

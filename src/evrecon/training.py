@@ -184,7 +184,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
                 epoch_loss += value
                 n_segments += 1
                 scores += [quality.score(p, g) for p, g in zip(preds, gts[seg])]
-                del loss, preds  # free this segment's graph before the next forward
+                del loss, preds  # the backward freed the graph; this drops the predictions
         mse_val, ssim_val = _mean_score(scores)
         record = {
             "epoch": epoch,

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -376,13 +377,14 @@ class TestDepthwiseConv3x3:
         def run(op):
             xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
             out = op(xt, wt, bt)
+            n_parents = len(out._parents)  # read before the backward consumes them
             (out * g).sum().backward()
-            return out, [xt.grad, wt.grad, bt.grad]
+            return out, n_parents, [xt.grad, wt.grad, bt.grad]
 
-        out, grads = run(ad.depthwise_conv3x3)
-        want, want_grads = run(lambda xt, wt, bt: ad.add(ad.depthwise_conv3x3(xt, wt),
-                                                         ad.reshape(bt, (1, 3, 1, 1))))
-        assert len(out._parents) == 3  # one tape node
+        out, n_parents, grads = run(ad.depthwise_conv3x3)
+        want, _, want_grads = run(lambda xt, wt, bt: ad.add(ad.depthwise_conv3x3(xt, wt),
+                                                            ad.reshape(bt, (1, 3, 1, 1))))
+        assert n_parents == 3  # one tape node
         np.testing.assert_array_equal(out.data, want.data)
         for got, ref in zip(grads, want_grads):
             assert max_rel_err(got, ref) < 1e-12
@@ -675,6 +677,33 @@ class TestBackward:
             ad.sigmoid(wi * xv).backward()
             per_step.append(float(wi.grad))
         assert float(w.grad) == pytest.approx(sum(per_step), rel=1e-12)
+
+    def test_consumed_graph_raises_until_detached(self):
+        x = Tensor(rand(3, seed=22), requires_grad=True)
+        y = ad.sigmoid(x * 2.0)
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="already consumed"):
+            loss.backward()
+        with pytest.raises(ContractError, match="already consumed"):
+            (y * 3.0).sum().backward()
+        x.grad = None
+        (y.detach() * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, y.data)
+
+    def test_sweep_releases_interior_nodes(self):
+        x = Tensor(rand(2, 3, seed=23), requires_grad=True)
+        w = Tensor(rand(3, seed=24), requires_grad=True)
+        h = x * w
+        c = ad.clip(h, -0.5, 0.5)
+        loss = ad.sigmoid(c).sum()
+        mask = weakref.ref(c._bw.__closure__[0].cell_contents)  # saved by clip's closure only
+        assert isinstance(mask(), np.ndarray)
+        loss.backward()
+        assert mask() is None
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        for node in (h, c, loss):
+            assert node.grad is None and node._parents == () and node._bw is ad._consumed
 
     def test_determinism(self):
         def run():

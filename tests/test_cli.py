@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from evrecon import cli
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
 from evrecon.errors import ParseError, config_from_dict
@@ -482,6 +483,27 @@ class TestProfile:
         assert main(["profile", "--spec", str(spec)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "width" in err
+
+    def test_oversized_spec_names_the_field(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "n_residual": 2**70}))
+        assert main(["profile", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NetworkSpec.n_residual" in err
+
+    def test_spec_without_events_builds_no_network(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "n_channels": 4,
+                                    "n_encoders": 2, "n_residual": 1}))
+        assert main(["profile", "--spec", str(spec)]) == 0
+        report = capsys.readouterr().out
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("profile --spec without --events built a Network")
+
+        monkeypatch.setattr(cli, "Network", no_network)
+        assert main(["profile", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == report
 
     def test_unknown_operating_point(self, capsys):
         assert main(["profile", "--paper-rates", "nope"]) == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evrecon import events as events_module
 from evrecon.errors import ConfigError, OrderingError, ParseError
 from evrecon.events import (Event, EventWindow, encode_voxel_grid, load_events,
                             normalize_nonzero, parse_event_stream, save_events,
@@ -50,6 +51,51 @@ def oracle_parse_event_stream(stream):
         last_t = t
         events.append(Event(t=t, x=x, y=y, p=1 if p_raw == 1 else -1))
     return events
+
+
+def oracle_bulk_parse(lines):
+    """The bulk parser that stripped and numbered every line before one
+    numpy read, kept as the reference for the one that lets numpy skip
+    comments and numbers lines only on error. Returns (events, sensor)."""
+    sensor = events_module._sensor_size(lines)
+    text = [line.partition("#")[0].strip() for line in lines]
+    lineno = np.flatnonzero([bool(line) for line in text]) + 1
+    content = [line for line in text if line]
+
+    def records(rows):
+        if not rows:
+            return np.zeros(0, events_module._RECORD)
+        return np.loadtxt(rows, dtype=events_module._RECORD, comments=None, ndmin=1)
+
+    try:
+        rec, bad = records(content), len(content)
+    except ValueError:
+        bad = events_module._first_unreadable(content)
+        rec = records(content[:bad])
+    t, x, y, p = (rec[name] for name in events_module._RECORD.names)
+    checks = [
+        (~np.isin(p, (0, 1, -1)), ParseError, "polarity must be 0/1 (or -1), got {p}"),
+        (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
+        (np.r_[False, t[1:] < t[:-1]], OrderingError, "timestamp {t} decreases below {t_prev}"),
+    ]
+    if sensor is not None:
+        h, w = sensor
+        checks.append(((x < 0) | (x >= w) | (y < 0) | (y >= h), ParseError,
+                       f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} "
+                       "sensor of the header"))
+    rejected = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks) if mask.any()]
+    if rejected:
+        i, k = min(rejected)
+        _, error, message = checks[k]
+        raise error(message.format(t=t[i], t_prev=t[i - 1], x=x[i], y=y[i], p=p[i]),
+                    line=int(lineno[i]))
+    if bad < len(content):
+        fields = len(content[bad].split())
+        raise ParseError(f"expected 4 fields 't x y p', got {fields}" if fields != 4 else
+                         f"bad field value in {content[bad]!r}: t must be a decimal "
+                         "number and x, y, p int64 integers", line=int(lineno[bad]))
+    return [Event(*row) for row in zip(t.tolist(), x.tolist(), y.tolist(),
+                                      np.where(p == 1, 1, -1).tolist())], sensor
 
 
 def oracle_duration_windows(events, sensor_h, sensor_w, duration):
@@ -271,7 +317,59 @@ SMALL_FILE = (b"# 6 8\n# a comment\n0.100000000 1 2 1\n\n0.200000000\t5 3 0\r\n"
               b"0.250000000 7 5 1 # x\n0.300000000 0 0 0\n")
 
 
+@st.composite
+def mixed_lines(draw):
+    """Lines mixing records, '#' comments, blank and whitespace-only lines,
+    non-ASCII whitespace, NUL, bad fields, bad polarities and decreasing
+    timestamps, with an optional "# H W" header."""
+    space = st.sampled_from([" ", "\t", "\xa0", "\x1f", "\u3000", "\x0b"])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"# {draw(st.integers(1, 14))} {draw(st.integers(8, 14))}")
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["comment", "blank", "space", "nul",
+                                                      "field", "polarity", "decrease"]))
+        t += draw(st.sampled_from([0.0, 0.25, 1.5]))
+        fields = [f"{t:.9f}", str(draw(st.integers(0, 12))), str(draw(st.integers(0, 12))),
+                  str(draw(st.sampled_from([0, 1])))]
+        if kind == "comment":
+            fields = ["#", draw(st.sampled_from(["note", "1 2", "0.1 1 2 1"]))]
+        elif kind == "blank":
+            fields = []
+        elif kind == "space":
+            fields = [draw(space) * draw(st.integers(1, 3))]
+        elif kind == "nul":
+            fields.insert(draw(st.integers(0, 4)), "\x00")
+        elif kind == "field":
+            index = draw(st.integers(0, 3))
+            fields[index] = draw(st.sampled_from(["", "x", "1.5", "1e", "0x1", "--1"]))
+        elif kind == "polarity":
+            fields[3] = draw(st.sampled_from(["2", "-2", "7"]))
+        elif kind == "decrease":
+            fields[0] = f"{t - 1.0:.9f}"
+        line = draw(space).join(fields)
+        if draw(st.booleans()):
+            line = draw(space) + line + draw(st.sampled_from(["", " # tail", "#", "\xa0"]))
+        lines.append(line)
+    return lines
+
+
+def parse_outcome(parse, lines):
+    """(events, sensor) of a parse, or (error type, message, line) of its rejection."""
+    try:
+        return parse(lines)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
 class TestParsingProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mixed_lines())
+    def test_mixed_lines_equal_bulk_oracle(self, lines):
+        assert parse_outcome(events_module._parse, lines) == \
+            parse_outcome(oracle_bulk_parse, lines)
+
     @PROPERTY
     @given(event_files())
     def test_valid_streams_equal_oracle(self, text):

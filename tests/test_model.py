@@ -104,6 +104,20 @@ class TestSpec:
         with pytest.raises(ConfigError, match=field):
             tiny_spec(**{field: k})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_residual", 2**70), ("n_channels", 1025), ("height", 65536), ("width", 2**40),
+        ("head_kernel", 33), ("encoder_kernel", 2**70 + 1), ("residual_kernel", 33),
+        ("decoder_kernel", 33), ("prediction_kernel", 33)])
+    def test_oversized_value_names_field(self, field, value):
+        # "n_residual": 2**70 made stage_table append rows until memory ran out
+        with pytest.raises(ConfigError, match=rf"NetworkSpec\.{field} must be at most \d+, "
+                                              rf"got {value}"):
+            tiny_spec(**{field: value})
+
+    def test_huge_encoder_count_is_refused_at_once(self):
+        with pytest.raises(ConfigError, match="input too small"):
+            tiny_spec(n_encoders=2**70)
+
     def test_int_accepted_for_float_fields(self):
         assert tiny_spec(tau=2, v_th=1).tau == 2
 

@@ -383,6 +383,29 @@ def test_full_scale_segment_memory():
     assert all(p.grad is not None for p in net.parameters())
     assert peak < 1.5e9
 
+def test_backward_stays_within_the_forward_peak():
+    # the backward frees each saved array once its last reader has run, so
+    # above the forward's peak it holds little more than the parameter
+    # gradients; keeping the whole graph to the end added 121 MiB here
+    net = Network(NetworkSpec(height=64, width=64), seed=0)
+    net.train_mode(True)
+    rng = np.random.default_rng(0)
+    bins = [rng.standard_normal((64, 64)) * (rng.random((64, 64)) < 0.1) for _ in range(3)]
+    gts = [rng.random((64, 64)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        preds = [net.forward_step(b) for b in bins]
+        loss = total_loss(preds, gts, [(0, 1)] * 3, TrainConfig())
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loss.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.grad.nbytes for p in net.parameters())
+    assert backward_peak - forward_peak <= grad_bytes + 8 * 2**20
+
+
 class TestEvaluate:
     def test_untrained_network_metrics_finite(self):
         scene = random_scene(16, 16, 6, np.random.default_rng(127), contrast=0.1)
