@@ -177,8 +177,9 @@ def cmd_probe(args):
             row = {"step": i, "mse": "", "ssim": "", "spike_rate": spike_rate(spike_counts),
                    "after_cutoff": int(i >= args.cutoff)}
             if gt_frames:
-                # events of window i reconstruct frame i+1
-                gt = gt_frames[min(i + 1, len(gt_frames) - 1)]
+                # bins are window-major: bin i is of window i // bins, which reconstructs
+                # the frame after it, as in scene_to_bins
+                gt = gt_frames[min(i // args.bins + 1, len(gt_frames) - 1)]
                 row["mse"], row["ssim"] = quality.score(img, gt)
             rows.append(row)
     csv_path = out / "probe.csv"

@@ -142,18 +142,23 @@ def _parse(lines):
     if records is None or _first_rejection(records, sensor) is not None:
         _reject(lines, records, sensor)
     t, x, y, p = (records[name] for name in _RECORD.names)
-    columns = t.tolist(), x.tolist(), y.tolist(), np.where(p == 1, 1, -1).tolist()
+    return events_from_columns(t, x, y, np.where(p == 1, 1, -1)), sensor
+
+
+def events_from_columns(t, x, y, p):
+    """The `Event` list of equal-length t, x, y and p (+/-1) arrays, with
+    Python numbers in every field."""
+    columns = t.tolist(), x.tolist(), y.tolist(), p.tolist()
     # Events hold only numbers and form no reference cycles, so a garbage
     # collection while they are built scans every one of them and frees
     # nothing; for a million events that was three quarters of the build time.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        events = list(map(Event, *columns))
+        return list(map(Event, *columns))
     finally:
         if collecting:
             gc.enable()
-    return events, sensor
 
 
 def _first_rejection(records, sensor):

@@ -84,13 +84,17 @@ class NetworkSpec:
         if self.neuron_kind not in SPIKING_KINDS:
             raise ConfigError(f"backbone neuron must be {'/'.join(SPIKING_KINDS)}, "
                               f"got {self.neuron_kind!r}")
-        if self.n_channels < 1 or self.n_encoders < 1 or self.n_residual < 0:
-            raise ConfigError("n_channels/n_encoders must be >= 1, n_residual >= 0")
+        for name, least in [("n_channels", 1), ("n_encoders", 1), ("n_residual", 0)]:
+            if getattr(self, name) < least:
+                raise ConfigError(f"NetworkSpec.{name} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
         if self.amp_enabled and not self.potential_assisted:
             raise ConfigError("amp_enabled requires potential_assisted")
         # a side below 2**n_encoders, found without raising 2 to a huge power
         if min(self.height, self.width) >> self.n_encoders < 1:
-            raise ConfigError("input too small for the encoder stride schedule")
+            raise ConfigError(f"input too small for the encoder stride schedule: "
+                              f"NetworkSpec.n_encoders = {self.n_encoders} stride-2 encoders "
+                              f"halve {self.height} x {self.width} below one pixel")
         for kind in filter(None, (self.neuron_kind, self.potential_kind)):
             try:
                 self.neuron_config(kind)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_field_types
-from .events import MAX_SENSOR_SIDE, Event
+from .events import MAX_SENSOR_SIDE, events_from_columns
 
 LOG_EPS = 1e-3
 
@@ -108,9 +108,7 @@ def generate_events(scene):
     if not t:
         return [], frames, flows
     order = np.argsort(np.concatenate(t), kind="stable")
-    columns = [np.concatenate(col)[order] for col in (t, x, y, p)]
-    # t stays a numpy float, x, y and p become Python ints, as the per-crossing loop gave
-    events = list(map(Event, columns[0], *(col.tolist() for col in columns[1:])))
+    events = events_from_columns(*(np.concatenate(col)[order] for col in (t, x, y, p)))
     return events, frames, flows
 
 

@@ -4,7 +4,9 @@ The loss is computed every `loss_every` steps over that segment by
 `total_loss` (L1 + 0.5 (1 - SSIM) reconstruction term plus flow-warped
 temporal consistency from step `l0` on, reaching back to the previous
 segment's detached last prediction); gradients flow through the whole
-segment, then the recurrent state is detached at the boundary.
+segment, then the recurrent state is detached at the boundary. The
+epoch record's MSE/SSIM are read off that same loss: each prediction is
+histogram-normalized and SSIM-scored once, on the tape.
 """
 
 import csv
@@ -55,15 +57,19 @@ def _as_batch(x):
     return t
 
 
-def reconstruction_loss(pred, gt):
+def reconstruction_loss(pred, gt, scores=None):
     """L1 + 0.5 (1 - SSIM) between the histogram-normalized prediction and
-    the ground-truth frame (already in [0, 1])."""
+    the ground-truth frame (already in [0, 1]). A `scores` list gets the
+    prediction's (MSE, SSIM), the values `quality.score` gives."""
     pred, gt = _as_batch(pred), _as_batch(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} vs ground truth {gt.shape}")
     pred_n = quality.histogram_normalize(pred)
     l1 = (pred_n - gt).abs().mean()
-    return l1 + 0.5 * (1.0 - quality.ssim(pred_n, gt))
+    ssim = quality.ssim(pred_n, gt)
+    if scores is not None:
+        scores.append((quality.mse(pred_n.data, gt.data), ssim.item()))
+    return l1 + 0.5 * (1.0 - ssim)
 
 
 def temporal_consistency_loss(i_k, i_prev, flow):
@@ -77,19 +83,20 @@ def temporal_consistency_loss(i_k, i_prev, flow):
     return (i_k - ad.roll(i_prev, (dy, dx), axis=(2, 3))).abs().mean()
 
 
-def total_loss(preds, gts, flows, cfg, prev_pred=None, step0=0):
+def total_loss(preds, gts, flows, cfg, prev_pred=None, step0=0, scores=None):
     """Sum of per-step reconstruction losses plus lambda-weighted temporal
     consistency for global steps k >= l0, one segment at a time.
 
     `preds[i]` is global step `step0 + i`; the temporal term of the
     segment's first step compares against `prev_pred`, the detached last
     prediction of the previous segment, and is skipped when there is none.
+    A `scores` list gets each prediction's (MSE, SSIM), in step order.
     """
     if not (len(preds) == len(gts) == len(flows)):
         raise ShapeError("preds, gts, and flows must have equal length")
     loss = None
     for idx, (pred, gt) in enumerate(zip(preds, gts)):
-        term = reconstruction_loss(pred, gt)
+        term = reconstruction_loss(pred, gt, scores)
         prev = preds[idx - 1] if idx > 0 else prev_pred
         if step0 + idx >= cfg.l0 and cfg.lambda_tc > 0 and prev is not None:
             term = term + cfg.lambda_tc * temporal_consistency_loss(pred, prev, flows[idx])
@@ -171,7 +178,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
                 seg = slice(seg_start, min(seg_start + cfg.loss_every, steps))
                 preds = [net.forward_step(plane, spike_counts) for plane in bins[seg]]
                 loss = total_loss(preds, gts[seg], flows[seg], cfg,
-                                  prev_pred=prev_pred, step0=seg_start)
+                                  prev_pred=prev_pred, step0=seg_start, scores=scores)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(
@@ -183,7 +190,6 @@ def train(net, scenes, cfg, log_path=None, progress=None):
                 prev_pred = preds[-1].detach()
                 epoch_loss += value
                 n_segments += 1
-                scores += [quality.score(p, g) for p, g in zip(preds, gts[seg])]
                 del loss, preds  # the backward freed the graph; this drops the predictions
         mse_val, ssim_val = _mean_score(scores)
         record = {
@@ -203,7 +209,7 @@ def train(net, scenes, cfg, log_path=None, progress=None):
 
 
 def _mean_score(scores):
-    """Mean (mse, ssim) of per-prediction `quality.score`s; NaN for none."""
+    """Mean (mse, ssim) of per-prediction scores; NaN for none."""
     mse_val, ssim_val = np.mean(scores, axis=0) if scores else (np.nan, np.nan)
     return float(mse_val), float(ssim_val)
 
@@ -219,6 +225,8 @@ def write_metrics_csv(path, history):
 def evaluate_reconstruction(net, bins, gts):
     """Histogram-normalized MSE/SSIM of a full forward pass vs the (H, W)
     ground-truth frames, averaged over the frames (SSIM is NaN below the
-    SSIM window)."""
+    SSIM window). Unequal numbers of bins and frames raise ShapeError."""
+    if len(bins) != len(gts):
+        raise ShapeError(f"{len(bins)} bins vs {len(gts)} ground-truth frames")
     images = net.forward_sequence(bins)
     return _mean_score([quality.score(img, gt) for img, gt in zip(images, gts)])

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from evrecon import cli
+from evrecon import cli, quality
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
 from evrecon.errors import ParseError, config_from_dict
@@ -429,6 +430,24 @@ class TestProbe:
         for r in rows:
             assert 0.0 <= float(r["spike_rate"]) <= 1.0
 
+    def test_sub_bins_are_scored_against_their_windows_frame(self, sim_dir, trained_dir,
+                                                               tmp_path):
+        # bin i was scored against frame i + 1, not that of its window i // bins
+        events = sim_dir / "events.txt"
+        assert main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                     "--events", str(events), "--cutoff", "100", "--gt", str(sim_dir),
+                     "--out", str(tmp_path), "--bins", "2", "--window-ms", "10"]) == 0
+        with open(tmp_path / "probe.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        net = Network.load(trained_dir / "checkpoint.spkt")
+        args = argparse.Namespace(events=events, bins=2, window_ms=10.0, window_count=None)
+        images = net.forward_sequence(cli._network_bins(args, net.spec))
+        frames = [read_pgm(p) for p in sorted(sim_dir.glob("gt_*.pgm"))]
+        assert len(rows) == len(images) >= 4
+        for i, (row, img) in enumerate(zip(rows, images)):
+            mse, ssim = quality.score(img, frames[min(i // 2 + 1, len(frames) - 1)])
+            assert (float(row["mse"]), float(row["ssim"])) == (mse, ssim)
+
     def test_bad_ground_truth_frame_names_the_file(self, sim_dir, trained_dir,
                                                    tmp_path, capsys):
         gt = tmp_path / "gt"
@@ -490,6 +509,13 @@ class TestProfile:
         assert main(["profile", "--spec", str(spec)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NetworkSpec.n_residual" in err
+
+    def test_huge_encoder_count_names_the_field(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, "n_encoders": 2**70}))
+        assert main(["profile", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NetworkSpec.n_encoders" in err
 
     def test_spec_without_events_builds_no_network(self, tmp_path, capsys, monkeypatch):
         spec = tmp_path / "spec.json"

@@ -9,7 +9,8 @@ from evrecon.synthetic import (LOG_EPS, SyntheticScene, generate_events,
 
 def oracle_generate_events(scene):
     """The per-crossing loop `generate_events` replaced, kept as its oracle:
-    one (t, x, y, p) tuple per threshold crossing, then a stable sort by t."""
+    one (t, x, y, p) tuple per threshold crossing, then a stable sort by t.
+    Every field is a Python number, as in a parsed event file."""
     frames, flows = scene_frames(scene)
     c = scene.contrast
     ref = np.log(frames[0] + LOG_EPS)
@@ -25,7 +26,7 @@ def oracle_generate_events(scene):
             sign = 1 if d > 0 else -1
             for k in range(1, n_cross[y, x] + 1):
                 frac = (k * c) / abs(d)
-                records.append((t_prev + frac * scene.dt, int(x), int(y), sign))
+                records.append((float(t_prev + frac * scene.dt), int(x), int(y), sign))
         ref += np.sign(delta) * n_cross * c
     records.sort(key=lambda r: r[0])
     return [Event(*r) for r in records], frames, flows

@@ -162,7 +162,7 @@ class TestTotalLoss:
 
 
 class TestSegmentMetrics:
-    """`quality.score`, which scores every prediction of a training epoch."""
+    """`quality.score`, the oracle of the training record's MSE/SSIM."""
 
     def test_ssim_finite_at_32x32(self):
         rng = np.random.default_rng(7)
@@ -329,25 +329,37 @@ class TestTrainLoop:
         assert len(lines) == 3
 
     def test_epoch_metrics_score_every_prediction(self, monkeypatch):
-        # they used to score only the last segment of the last batch
-        scored = []
+        # they used to score only the last segment of the last batch; the loss
+        # now scores each prediction, and must give what quality.score gives
+        captured = []
 
-        def counting_score(pred, gt):
-            scored.append((pred.shape, score(pred, gt)))
-            return scored[-1][1]
+        def capturing_loss(pred, gt, scores=None):
+            captured.append((pred.data.copy(), gt))
+            return reconstruction_loss(pred, gt, scores)
 
-        monkeypatch.setattr(training.quality, "score", counting_score)
+        monkeypatch.setattr(training, "reconstruction_loss", capturing_loss)
         traj = [(0, 1), (1, 0), (1, 1), (0, 1), (1, 0)]
         scenes = [SyntheticScene(texture=np.random.default_rng(s).random((16, 16)),
                                  trajectory=traj, contrast=0.1) for s in (1, 2)]
         history = train(tiny_net(), scenes, TrainConfig(batch=2, epochs=2, seq_len=5,
                                                         loss_every=2))
-        assert len(scored) == 2 * 5  # five two-frame predictions per epoch
-        assert all(shape == (2, 1, 16, 16) for shape, _ in scored)
+        assert len(captured) == 2 * 5  # five two-frame predictions per epoch
+        assert all(pred.shape == (2, 1, 16, 16) for pred, _ in captured)
         for epoch, record in enumerate(history):
-            mses, ssims = zip(*(s for _, s in scored[5 * epoch:5 * epoch + 5]))
-            assert record["mse"] == pytest.approx(np.mean(mses), rel=1e-15)
-            assert record["ssim"] == pytest.approx(np.mean(ssims), rel=1e-15)
+            mses, ssims = zip(*(score(p, g) for p, g in captured[5 * epoch:5 * epoch + 5]))
+            assert record["mse"] == np.mean(mses)
+            assert record["ssim"] == np.mean(ssims)
+
+    def test_training_never_calls_the_metric_scorer(self, monkeypatch):
+        # every prediction was normalized and SSIM-scored a second time for the record
+        def refuse(pred, gt):
+            raise AssertionError("train called quality.score")
+
+        monkeypatch.setattr(training.quality, "score", refuse)
+        scene = random_scene(16, 16, 6, np.random.default_rng(129), contrast=0.1)
+        history = train(tiny_net(), [scene], TrainConfig(batch=1, epochs=2, seq_len=5,
+                                                         loss_every=2))
+        assert all(np.isfinite(r["mse"]) and np.isfinite(r["ssim"]) for r in history)
 
     def test_progress_callback(self):
         scene = random_scene(16, 16, 6, np.random.default_rng(125), contrast=0.1)
@@ -413,6 +425,13 @@ class TestEvaluate:
         m, s = evaluate_reconstruction(tiny_net(), bins, gts)
         assert np.isfinite(m) and np.isfinite(s)
         assert 0.0 <= m <= 1.0 and -1.0 <= s <= 1.0
+
+    def test_unequal_lengths_raise(self):
+        # zip scored only as many frames as the shorter list held
+        scene = random_scene(16, 16, 6, np.random.default_rng(127), contrast=0.1)
+        bins, gts, _ = scene_to_bins(scene)
+        with pytest.raises(ShapeError, match=f"{len(bins)} bins vs {len(bins) - 1} ground-truth"):
+            evaluate_reconstruction(tiny_net(), bins, gts[:-1])
 
     def test_ssim_nan_below_the_window(self):
         # this raised ShapeError; the training record already gave NaN
