@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one checked path
-from a JSON object to a config dataclass."""
+"""Exception types shared across the package, the one checked path from
+a JSON object to a config dataclass, and the one check of a config's
+single-field rules, declared on its fields with `bounded`."""
 
 import dataclasses
 import math
@@ -64,9 +65,18 @@ def config_from_dict(cls, data, source):
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def check_field_types(config):
+def bounded(lo=None, hi=None, *, above=None, choices=None, **field_args):
+    """A dataclass field that `check_fields` holds to lo <= value <= hi,
+    value > above and value in choices (each rule only when given);
+    `field_args` (default=...) go to `dataclasses.field`."""
+    return dataclasses.field(metadata=dict(lo=lo, hi=hi, above=above, choices=choices),
+                             **field_args)
+
+
+def check_fields(config):
     """Raise ConfigError naming the first field of the dataclass `config`
-    whose value is not of its declared type (int, float, bool or str).
+    whose value breaks a rule of that field alone: its declared type, a
+    finite value for a float, and the bounds and choices of `bounded`.
 
     A float field also takes an integer; a bool is neither an int nor a
     float, even though Python counts it as one. A field whose default is
@@ -74,27 +84,31 @@ def check_field_types(config):
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if value is None and f.default is None:
-            ok = True
-        elif f.type is float:
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        elif f.type is int:
-            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, f.type)
-        if not ok:
-            raise ConfigError(f"{type(config).__name__}.{f.name} must be "
-                              f"{f.type.__name__}, got {value!r}")
+        rule = None if value is None and f.default is None else _broken_rule(f, value)
+        if rule is not None:
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be {rule}, got {value!r}")
 
 
-def check_finite(config, *names):
-    """Raise ConfigError naming the first of the number fields `names` of
-    the dataclass `config` that is NaN, infinite or too large for a float."""
-    for name in names:
-        value = getattr(config, name)
+def _broken_rule(f, value):
+    """The rule of field `f` that `value` breaks, as the words after "must
+    be", or None."""
+    kind = {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type)
+    if not isinstance(value, kind) or (isinstance(value, bool) and f.type is not bool):
+        return f.type.__name__
+    if f.type is float:
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
-            raise ConfigError(f"{type(config).__name__}.{name} must be finite, got {value!r}")
+            return "finite"
+    lo, hi, above, choices = (f.metadata.get(k) for k in ("lo", "hi", "above", "choices"))
+    if lo is not None and value < lo:
+        return f">= {lo}"
+    if above is not None and not value > above:
+        return f"> {above}"
+    if hi is not None and value > hi:
+        return f"at most {hi}"
+    if choices is not None and value not in choices:
+        return f"one of {'/'.join(choices)}"
+    return None

@@ -31,10 +31,11 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
-from .errors import (ConfigError, ContractError, ParseError, ShapeError, check_field_types,
+from .errors import (ConfigError, ContractError, ParseError, ShapeError, bounded, check_fields,
                      config_from_dict)
 from .events import MAX_SENSOR_SIDE
-from .neurons import SPIKING_KINDS, MPLayer, NeuronConfig, SpikingLayer
+from .neurons import (FIXED_TAU_KINDS, SPIKING_KINDS, MPLayer, NeuronConfig, SpikingLayer,
+                      _check_tau)
 
 SKIP_KINDS = ("ADD", "OR", "IAND", "CONCAT")
 _KERNEL_FIELDS = ("head_kernel", "encoder_kernel", "residual_kernel", "decoder_kernel",
@@ -49,57 +50,39 @@ MAX_KERNEL = 31
 
 @dataclass
 class NetworkSpec:
-    height: int
-    width: int
-    n_channels: int = 32
-    n_encoders: int = 3
-    n_residual: int = 1
-    skip_kind: str = "CONCAT"
-    neuron_kind: str = "LIF"
+    height: int = bounded(1, MAX_SENSOR_SIDE)
+    width: int = bounded(1, MAX_SENSOR_SIDE)
+    n_channels: int = bounded(1, MAX_CHANNELS, default=32)
+    n_encoders: int = bounded(1, default=3)
+    n_residual: int = bounded(0, MAX_RESIDUAL, default=1)
+    skip_kind: str = bounded(choices=SKIP_KINDS, default="CONCAT")
+    neuron_kind: str = bounded(choices=SPIKING_KINDS, default="LIF")
     potential_assisted: bool = False
     amp_enabled: bool = False
     tau: float = 2.0
     v_th: float = 1.0
     v_reset: float = 0.0
-    head_kernel: int = 5
-    encoder_kernel: int = 5
-    residual_kernel: int = 3
-    decoder_kernel: int = 5
-    prediction_kernel: int = 3
+    head_kernel: int = bounded(1, MAX_KERNEL, default=5)
+    encoder_kernel: int = bounded(1, MAX_KERNEL, default=5)
+    residual_kernel: int = bounded(1, MAX_KERNEL, default=3)
+    decoder_kernel: int = bounded(1, MAX_KERNEL, default=5)
+    prediction_kernel: int = bounded(1, MAX_KERNEL, default=3)
 
     def __post_init__(self):
-        check_field_types(self)
-        for name, bound in [("height", MAX_SENSOR_SIDE), ("width", MAX_SENSOR_SIDE),
-                            ("n_channels", MAX_CHANNELS), ("n_residual", MAX_RESIDUAL),
-                            *((name, MAX_KERNEL) for name in _KERNEL_FIELDS)]:
-            if getattr(self, name) > bound:
-                raise ConfigError(f"NetworkSpec.{name} must be at most {bound}, "
-                                  f"got {getattr(self, name)}")
+        check_fields(self)
         for name in _KERNEL_FIELDS:
-            k = getattr(self, name)
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"NetworkSpec.{name} must be odd and positive, got {k}")
-        if self.skip_kind not in SKIP_KINDS:
-            raise ConfigError(f"unknown skip kind {self.skip_kind!r}")
-        if self.neuron_kind not in SPIKING_KINDS:
-            raise ConfigError(f"backbone neuron must be {'/'.join(SPIKING_KINDS)}, "
-                              f"got {self.neuron_kind!r}")
-        for name, least in [("n_channels", 1), ("n_encoders", 1), ("n_residual", 0)]:
-            if getattr(self, name) < least:
-                raise ConfigError(f"NetworkSpec.{name} must be >= {least}, "
-                                  f"got {getattr(self, name)}")
+            if getattr(self, name) % 2 == 0:
+                raise ConfigError(f"NetworkSpec.{name} must be odd, got {getattr(self, name)}")
         if self.amp_enabled and not self.potential_assisted:
-            raise ConfigError("amp_enabled requires potential_assisted")
+            raise ConfigError("NetworkSpec.amp_enabled requires NetworkSpec.potential_assisted")
         # a side below 2**n_encoders, found without raising 2 to a huge power
         if min(self.height, self.width) >> self.n_encoders < 1:
             raise ConfigError(f"input too small for the encoder stride schedule: "
                               f"NetworkSpec.n_encoders = {self.n_encoders} stride-2 encoders "
                               f"halve {self.height} x {self.width} below one pixel")
-        for kind in filter(None, (self.neuron_kind, self.potential_kind)):
-            try:
-                self.neuron_config(kind)
-            except ConfigError as exc:  # its fields are the spec's (v_rest is v_reset)
-                raise ConfigError(str(exc).replace("NeuronConfig.", "NetworkSpec.")) from None
+        for kind in (self.neuron_kind, self.potential_kind):
+            if kind in FIXED_TAU_KINDS:
+                _check_tau(self.tau, kind, "NetworkSpec.tau")
 
     def padded_size(self):
         """Spatial size rounded up to a multiple of the total stride."""

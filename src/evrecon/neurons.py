@@ -32,11 +32,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (ConfigError, ContractError, ShapeError, check_field_types,
-                     check_finite)
+from .errors import ConfigError, ContractError, ShapeError, bounded, check_fields
 
 SPIKING_KINDS = ("IF", "LIF", "PLIF")
 MP_KINDS = ("MP_LIF", "AMP_LIF")
+FIXED_TAU_KINDS = ("LIF", "MP_LIF")  # the kinds whose leak takes the config's tau
 
 
 def _check_tau(tau, kind, name="tau"):
@@ -48,18 +48,15 @@ def _check_tau(tau, kind, name="tau"):
 
 @dataclass
 class NeuronConfig:
-    kind: str = "LIF"
+    kind: str = bounded(choices=SPIKING_KINDS + MP_KINDS, default="LIF")
     v_th: float = 1.0
     v_reset: float = 0.0
     v_rest: float = 0.0
     tau: float = 2.0
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.kind not in SPIKING_KINDS + MP_KINDS:
-            raise ConfigError(f"unknown neuron kind {self.kind!r}")
-        check_finite(self, "v_th", "v_reset", "v_rest", "tau")
-        if self.kind in ("LIF", "MP_LIF"):
+        check_fields(self)
+        if self.kind in FIXED_TAU_KINDS:
             _check_tau(self.tau, self.kind, "NeuronConfig.tau")
 
 

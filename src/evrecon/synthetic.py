@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, bounded, check_fields
 from .events import MAX_SENSOR_SIDE, events_from_columns
 
 LOG_EPS = 1e-3
+MAX_SCENE_STEPS = 100_000  # frames; random_scene draws its walk in Python, ~6 us a step
 
 
 @dataclass
@@ -27,8 +28,8 @@ class SyntheticScene:
 
     texture: np.ndarray
     trajectory: list
-    contrast: float = 0.15
-    dt: float = 0.01
+    contrast: float = bounded(above=0, default=0.15)
+    dt: float = bounded(above=0, default=0.01)
 
     def __post_init__(self):
         try:
@@ -44,11 +45,10 @@ class SyntheticScene:
         if not np.all((texture >= 0.0) & (texture <= 1.0)):
             raise ConfigError("SyntheticScene.texture values must lie in [0, 1]")
         self.texture = np.asarray(texture, dtype=np.float64)
-        check_field_types(self)
-        _check_positive("SyntheticScene", "contrast", self.contrast)
-        _check_positive("SyntheticScene", "dt", self.dt)
-        if not self.trajectory:
-            raise ConfigError("SyntheticScene.trajectory must hold at least one [dy, dx] shift")
+        check_fields(self)
+        if not 1 <= len(self.trajectory) < MAX_SCENE_STEPS:
+            raise ConfigError(f"SyntheticScene.trajectory must hold 1 to {MAX_SCENE_STEPS - 1} "
+                              f"[dy, dx] shifts, got {len(self.trajectory)}")
         _check_shifts("SyntheticScene", "trajectory", self.trajectory)
         self.trajectory = [tuple(shift) for shift in self.trajectory]
 
@@ -95,7 +95,12 @@ def generate_events(scene):
     t, x, y, p = [], [], [], []  # one column block per step
     for s in range(1, len(frames)):
         delta = np.log(frames[s] + LOG_EPS) - ref
-        n_cross = np.floor(np.abs(delta) / c).astype(int)
+        magnitude = np.abs(delta)
+        # an event takes 8 bytes a column: refuse a count numpy cannot address
+        if magnitude.sum() > c * (np.iinfo(np.intp).max // 8):
+            raise ConfigError(f"SyntheticScene.contrast = {c!r} asks for more events at step {s} "
+                              "than memory can hold")
+        n_cross = np.floor(magnitude / c).astype(int)
         ys, xs = np.nonzero(n_cross)
         n = n_cross[ys, xs]
         d = np.repeat(delta[ys, xs], n)
@@ -119,17 +124,8 @@ def _check_shifts(owner, name, shifts):
         if not (isinstance(shift, (list, tuple)) and len(shift) == 2
                 and all(isinstance(v, int) and not isinstance(v, bool)
                         and abs(v) <= MAX_SENSOR_SIDE for v in shift)):
-            raise ConfigError(f"{owner}.{name}: {shift!r} is not a [dy, dx] pair of integers "
-                              f"within +-{MAX_SENSOR_SIDE}")
-
-
-def _check_positive(owner, name, value):
-    try:
-        ok = 0.0 < float(value) < float("inf")
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{owner}.{name} must be positive and finite, got {value!r}")
+            raise ConfigError(f"{owner}.{name} must hold [dy, dx] pairs of integers within "
+                              f"+-{MAX_SENSOR_SIDE}, got {shift!r}")
 
 
 @dataclass
@@ -140,26 +136,15 @@ class SceneConfig:
     and step or, when `motion` [dy, dx] is given, that shift at every step.
     """
 
-    height: int = 32
-    width: int = 32
-    steps: int = 41
-    contrast: float = 0.15
-    max_shift: int = 1
+    height: int = bounded(1, MAX_SENSOR_SIDE, default=32)
+    width: int = bounded(1, MAX_SENSOR_SIDE, default=32)
+    steps: int = bounded(2, MAX_SCENE_STEPS, default=41)  # two frames make one shift
+    contrast: float = bounded(above=0, default=0.15)
+    max_shift: int = bounded(0, MAX_SENSOR_SIDE, default=1)
     motion: list = None
 
     def __post_init__(self):
-        check_field_types(self)
-        for name in ("height", "width"):
-            if not 1 <= getattr(self, name) <= MAX_SENSOR_SIDE:
-                raise ConfigError(f"SceneConfig.{name} must be in 1-{MAX_SENSOR_SIDE}, "
-                                  f"got {getattr(self, name)}")
-        if self.steps < 2:
-            raise ConfigError(f"SceneConfig.steps must be >= 2 (two frames make one "
-                              f"shift), got {self.steps}")
-        _check_positive("SceneConfig", "contrast", self.contrast)
-        if not 0 <= self.max_shift <= MAX_SENSOR_SIDE:
-            raise ConfigError(f"SceneConfig.max_shift must be in 0-{MAX_SENSOR_SIDE}, "
-                              f"got {self.max_shift}")
+        check_fields(self)
         if self.motion is not None:
             _check_shifts("SceneConfig", "motion", [self.motion])
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import quality
 from .autodiff import Tensor
-from .errors import ConfigError, DivergenceError, ShapeError, check_field_types, check_finite
+from .errors import ConfigError, DivergenceError, ShapeError, bounded, check_fields
 from .events import EventWindow, encode_voxel_grid, normalize_nonzero, slice_temporal_bins
 from .model import spike_rate
 from .synthetic import generate_events
@@ -26,26 +26,17 @@ from .synthetic import generate_events
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.002
-    batch: int = 2
-    epochs: int = 100
-    lambda_tc: float = 1.0
-    l0: int = 2
-    loss_every: int = 5
-    seq_len: int = 40
-    bins_per_window: int = 1
+    lr: float = bounded(0, default=0.002)
+    batch: int = bounded(1, default=2)
+    epochs: int = bounded(0, default=100)
+    lambda_tc: float = bounded(0, default=1.0)
+    l0: int = bounded(0, default=2)
+    loss_every: int = bounded(1, default=5)
+    seq_len: int = bounded(1, default=40)
+    bins_per_window: int = bounded(1, default=1)
 
     def __post_init__(self):
-        check_field_types(self)
-        check_finite(self, "lr", "lambda_tc")
-        for name in ("batch", "loss_every", "seq_len", "bins_per_window"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigError(f"TrainConfig.{name} must be positive, got {value}")
-        for name in ("epochs", "lr", "lambda_tc", "l0"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"TrainConfig.{name} must be non-negative, got {value}")
+        check_fields(self)
 
 
 def _as_batch(x):

@@ -283,7 +283,7 @@ class TestTrain:
         assert main(["train", "--spec", str(spec), "--data", str(sim_dir),
                      "--train-config", str(tc), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: {tc}: TrainConfig.batch must be positive, got 0")
+            f"error: {tc}: TrainConfig.batch must be >= 1, got 0")
 
     def test_unknown_spec_key_is_an_error(self, sim_dir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -516,6 +516,16 @@ class TestProfile:
         assert main(["profile", "--spec", str(spec)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NetworkSpec.n_encoders" in err
+
+    @pytest.mark.parametrize("field,value", [("skip_kind", "XOR"), ("neuron_kind", "AMP_LIF")])
+    def test_unknown_choice_names_the_field(self, tmp_path, capsys, field, value):
+        # "unknown skip kind 'XOR'" and "backbone neuron must be IF/LIF/PLIF"
+        # named no field before
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 16, "width": 16, field: value}))
+        assert main(["profile", "--spec", str(spec)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {spec}: NetworkSpec.{field} must be one of ")
 
     def test_spec_without_events_builds_no_network(self, tmp_path, capsys, monkeypatch):
         spec = tmp_path / "spec.json"

@@ -510,7 +510,8 @@ class TestLayers:
 class TestConfigValidation:
     def test_unknown_kind(self):
         for kind in ("GRU", "MP_IF", "MP_PLIF"):  # no network builds MP_IF or MP_PLIF
-            with pytest.raises(ConfigError, match="unknown neuron kind"):
+            with pytest.raises(ConfigError, match=f"^NeuronConfig.kind must be one of "
+                                                  f"IF/LIF/PLIF/MP_LIF/AMP_LIF, got '{kind}'$"):
                 NeuronConfig(kind=kind)
 
     @pytest.mark.parametrize("kind", ["IF", "MP_LIF"])

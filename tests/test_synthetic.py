@@ -3,8 +3,8 @@ import pytest
 
 from evrecon.errors import ConfigError
 from evrecon.events import Event
-from evrecon.synthetic import (LOG_EPS, SyntheticScene, generate_events,
-                               random_scene, scene_frames)
+from evrecon.synthetic import (LOG_EPS, MAX_SCENE_STEPS, SceneConfig, SyntheticScene,
+                               generate_events, random_scene, scene_frames)
 
 
 def oracle_generate_events(scene):
@@ -74,10 +74,31 @@ class TestScene:
         # integer beyond the float range died there in an OverflowError
         for field in ("contrast", "dt"):
             with pytest.raises(ConfigError,
-                               match=f"SyntheticScene.{field} must be positive and finite"):
+                               match=f"SyntheticScene.{field} must be finite"):
                 SyntheticScene(texture=np.ones((4, 4)), trajectory=[(0, 0)], **{field: value})
         with pytest.raises(ConfigError, match="SyntheticScene.contrast"):
             random_scene(8, 8, 3, np.random.default_rng(0), contrast=value)
+
+    def test_scene_length_is_bounded(self):
+        # steps = 10**9 was accepted, and random_scene then drew its walk for
+        # about 1.7 h before any allocation could fail
+        with pytest.raises(ConfigError, match=rf"^SceneConfig\.steps must be at most "
+                                              rf"{MAX_SCENE_STEPS}, got 1000000000$"):
+            SceneConfig(steps=10**9)
+        assert SceneConfig(steps=MAX_SCENE_STEPS).steps == MAX_SCENE_STEPS
+        texture = np.ones((2, 2))
+        SyntheticScene(texture=texture, trajectory=[(0, 0)] * (MAX_SCENE_STEPS - 1))
+        with pytest.raises(ConfigError, match=r"^SyntheticScene\.trajectory must hold"):
+            SyntheticScene(texture=texture, trajectory=[(0, 0)] * MAX_SCENE_STEPS)
+
+    @pytest.mark.parametrize("contrast", [5e-324, 1e-300])
+    def test_tiny_contrast_is_refused_by_event_count(self, contrast):
+        # the crossing counts overflowed int64 and np.repeat raised a raw
+        # ValueError ("repeats may not contain negative values")
+        scene = SyntheticScene(texture=np.array([[0.0, 1.0]]), trajectory=[(0, 1)],
+                               contrast=contrast)
+        with pytest.raises(ConfigError, match=r"^SyntheticScene\.contrast = .* events at step 1"):
+            generate_events(scene)
 
 
 class TestFrames:

@@ -44,8 +44,9 @@ class TestConfig:
         ("lr", -0.1, "non-negative"), ("lambda_tc", -1.0, "non-negative"),
         ("l0", -1, "non-negative")])
     def test_range_error_names_field(self, field, value, rule):
+        least = {"positive": 1, "non-negative": 0}[rule]
         with pytest.raises(ConfigError,
-                           match=rf"^TrainConfig\.{field} must be {rule}, got {value}$"):
+                           match=rf"^TrainConfig\.{field} must be >= {least}, got {value}$"):
             TrainConfig(**{field: value})
 
 
