@@ -366,6 +366,7 @@ def zero_pad(x, top, bottom, left, right):
 
 
 _workspace = np.empty(0)  # grow-only buffer behind every conv column block
+_TILE = 2 ** 21  # elements of one conv column tile (16 MiB), unless one output row needs more
 
 
 def _columns(shape):
@@ -386,12 +387,16 @@ def _conv(x, w, stride, padding, need_x, need_w):
     returns the output and its backward g -> (gx, gw), where a gradient
     not needed is None. The backward keeps only the padded input.
 
-    Channel-first form: one copy of a strided k x k window view of the
-    padded input fills an (N, C_in*k*k, H_out*W_out) column block, and one
-    `wmat @ cols` GEMM writes the NCHW output. The backward gathers the
-    columns again for the weight gradient, then computes `wmat.T @ g` and
-    scatters it with k*k slice adds. Every column block lives in the
-    reused workspace (`_columns`), never in a returned array.
+    Channel-first form, in tiles of whole output rows of one batch
+    element, each with a (C_in*k*k, rows*W_out) column block of at most
+    `_TILE` elements (one row when a row alone is larger): one copy of a
+    strided k x k window view of the padded input fills the block, and one
+    `wmat @ cols` GEMM writes the tile's rows of the NCHW output. A conv
+    whose whole block fits is one tile. The backward runs the same tiles:
+    it gathers the columns again and adds `g @ cols.T` to the weight
+    gradient, then computes `wmat.T @ g` and scatters it with k*k slice
+    adds. Every column block lives in the reused workspace (`_columns`),
+    never in a returned array.
 
     Output-shift form, for stride 1 with C_out < C_in (the prediction
     conv): one GEMM of the (k*k*C_out, C_in) tap-major kernel with the
@@ -438,30 +443,34 @@ def _conv(x, w, stride, padding, need_x, need_w):
 
     xp = zero_pad(x, padding, padding, padding, padding) if padding else x
     wmat = w.reshape(c_out, c_in * k * k)
-    col_shape = (n, c_in * k * k, h_out * w_out)
+    rows = max(1, _TILE // (c_in * k * k * w_out))
+    tiles = [(b, r0, min(r0 + rows, h_out)) for b in range(n) for r0 in range(0, h_out, rows)]
 
-    def gather():
-        cols = _columns(col_shape)
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.copyto(cols.reshape(n, c_in, k, k, h_out, w_out), windows.transpose(0, 1, 4, 5, 2, 3))
-        return cols
+    def gather(b, r0, r1):
+        cols = _columns((c_in, k, k, r1 - r0, w_out))
+        windows = sliding_window_view(xp[b], (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        np.copyto(cols, windows[:, r0:r1].transpose(0, 3, 4, 1, 2))
+        return cols.reshape(c_in * k * k, (r1 - r0) * w_out)
 
-    out = (wmat @ gather()).reshape(n, c_out, h_out, w_out)
+    out = np.empty((n, c_out, h_out, w_out))
+    for b, r0, r1 in tiles:
+        np.matmul(wmat, gather(b, r0, r1), out=out[b, :, r0:r1].reshape(c_out, -1))
 
     def bw(g):
-        g = g.reshape(n, c_out, h_out * w_out)
-        gx = gw = None
-        if need_w:  # first: gcols below overwrites the gathered columns
-            gw = (g @ gather().transpose(0, 2, 1)).sum(0).reshape(w.shape)
-        if need_x:
-            gcols = np.matmul(wmat.T, g, out=_columns(col_shape))
-            gcols = gcols.reshape(n, c_in, k, k, h_out, w_out)
-            gxp = np.zeros(xp.shape)
-            for i, j in taps:
-                gxp[:, :, i:i + stride * h_out:stride,
-                    j:j + stride * w_out:stride] += gcols[:, :, i, j]
-            gx = gxp[:, :, padding:padding + h, padding:padding + wd]
-        return gx, gw
+        gw = np.zeros(wmat.shape) if need_w else None
+        gxp = np.zeros(xp.shape) if need_x else None
+        for b, r0, r1 in tiles:
+            gt = g[b, :, r0:r1].reshape(c_out, -1)
+            if need_w:  # first: gcols below overwrites the gathered columns
+                gw += gt @ gather(b, r0, r1).T
+            if need_x:
+                gcols = np.matmul(wmat.T, gt, out=_columns((c_in * k * k, gt.shape[1])))
+                gcols = gcols.reshape(c_in, k, k, r1 - r0, w_out)
+                for i, j in taps:
+                    gxp[b, :, i + stride * r0:i + stride * r1:stride,
+                        j:j + stride * w_out:stride] += gcols[:, i, j]
+        gx = None if gxp is None else gxp[:, :, padding:padding + h, padding:padding + wd]
+        return gx, None if gw is None else gw.reshape(w.shape)
 
     return out, bw
 

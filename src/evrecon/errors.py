@@ -73,6 +73,16 @@ def bounded(lo=None, hi=None, *, above=None, choices=None, **field_args):
                              **field_args)
 
 
+_ECHO = 80  # characters of an offending value's repr that a message echoes
+
+
+def echo(value):
+    """repr(value) for an error message, cut to _ECHO characters with an
+    ellipsis, so a long list or deep object is named by its start."""
+    got = repr(value)
+    return got if len(got) <= _ECHO else got[:_ECHO - 3] + "..."
+
+
 def check_fields(config):
     """Raise ConfigError naming the first field of the dataclass `config`
     whose value breaks a rule of that field alone: its declared type, a
@@ -86,7 +96,8 @@ def check_fields(config):
         value = getattr(config, f.name)
         rule = None if value is None and f.default is None else _broken_rule(f, value)
         if rule is not None:
-            raise ConfigError(f"{type(config).__name__}.{f.name} must be {rule}, got {value!r}")
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be {rule}, "
+                              f"got {echo(value)}")
 
 
 def _broken_rule(f, value):

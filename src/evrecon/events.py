@@ -155,7 +155,9 @@ def events_from_columns(t, x, y, p):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return list(map(Event, *columns))
+        # tuple.__new__ builds each Event in C, skipping NamedTuple's
+        # Python-level __new__
+        return list(map(tuple.__new__, repeat(Event), zip(*columns)))
     finally:
         if collecting:
             gc.enable()

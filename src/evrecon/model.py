@@ -77,9 +77,10 @@ class NetworkSpec:
             raise ConfigError("NetworkSpec.amp_enabled requires NetworkSpec.potential_assisted")
         # a side below 2**n_encoders, found without raising 2 to a huge power
         if min(self.height, self.width) >> self.n_encoders < 1:
-            raise ConfigError(f"input too small for the encoder stride schedule: "
-                              f"NetworkSpec.n_encoders = {self.n_encoders} stride-2 encoders "
-                              f"halve {self.height} x {self.width} below one pixel")
+            raise ConfigError(f"NetworkSpec.n_encoders = {self.n_encoders} stride-2 encoders "
+                              f"halve NetworkSpec.height = {self.height} x NetworkSpec.width = "
+                              f"{self.width} below one pixel: input too small for the encoder "
+                              f"stride schedule")
         for kind in (self.neuron_kind, self.potential_kind):
             if kind in FIXED_TAU_KINDS:
                 _check_tau(self.tau, kind, "NetworkSpec.tau")

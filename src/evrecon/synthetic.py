@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, bounded, check_fields
+from .errors import ConfigError, bounded, check_fields, echo
 from .events import MAX_SENSOR_SIDE, events_from_columns
 
 LOG_EPS = 1e-3
@@ -125,7 +125,7 @@ def _check_shifts(owner, name, shifts):
                 and all(isinstance(v, int) and not isinstance(v, bool)
                         and abs(v) <= MAX_SENSOR_SIDE for v in shift)):
             raise ConfigError(f"{owner}.{name} must hold [dy, dx] pairs of integers within "
-                              f"+-{MAX_SENSOR_SIDE}, got {shift!r}")
+                              f"+-{MAX_SENSOR_SIDE}, got {echo(shift)}")
 
 
 @dataclass

@@ -353,6 +353,72 @@ class TestColumnWorkspace:
             assert np.isfinite(a).all() and not np.shares_memory(a, workspace)
 
 
+class TestConvTiles:
+    """`ad._conv` with `_TILE` shrunk so that each conv runs many row tiles,
+    against the whole-block slice gather: outputs and gradients agree to
+    roundoff (splitting a GEMM or reordering the scatter's adds may move
+    the last bits), and the workspace never holds more than one tile
+    unless one output row alone is larger. The bitwise tests above cover
+    the one-tile case every toy network takes."""
+
+    @staticmethod
+    def tiles(monkeypatch, rows, row_size):
+        """Shrink the tile to `rows` output rows of `row_size` elements and
+        empty the workspace."""
+        monkeypatch.setattr(ad, "_TILE", rows * row_size + row_size // 2)
+        monkeypatch.setattr(ad, "_workspace", np.empty(0))
+
+    @staticmethod
+    def run_both(monkeypatch, op, x, w, b, **kw):
+        g = np.random.default_rng(9).standard_normal(
+            getattr(ad, op)(Tensor(x), Tensor(w), **kw).shape)
+        monkeypatch.setattr(ad, "_workspace", np.empty(0))
+        kernel = ad._conv
+        got = TestConvKernel.run(monkeypatch, kernel, op, x, w, b, g, **kw)
+        size = ad._workspace.size
+        want = TestConvKernel.run(monkeypatch, slice_gather_conv, op, x, w, b, g, **kw)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12, err_msg=name)
+        return size
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_matches_whole_block(self, monkeypatch, stride, k):
+        rng = np.random.default_rng(70 + k)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 3, 13, 9), (5, 3, k, k), 5))
+        h_out, w_out = (13 - 1) // stride + 1, (9 - 1) // stride + 1  # padding k // 2
+        self.tiles(monkeypatch, 3, 3 * k * k * w_out)
+        assert h_out % 3 != 0  # a short last tile
+        size = self.run_both(monkeypatch, "conv2d", x, w, b, stride=stride, padding=k // 2)
+        assert size == 3 * 3 * k * k * w_out <= ad._TILE
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_upsample2x_conv2d_matches_whole_block(self, monkeypatch, k):
+        rng = np.random.default_rng(80 + k)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 6, 7, 4), (3, 6, k, k), 3))
+        kp = 2 * ((k // 2 + 1) // 2) + 1  # the phase kernel's side
+        self.tiles(monkeypatch, 2, 6 * kp * kp * 4)
+        assert self.run_both(monkeypatch, "upsample2x_conv2d", x, w, b) <= ad._TILE
+
+    def test_a_row_larger_than_the_tile_is_one_tile(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 4, 5, 11), (6, 4, 3, 3), 6))
+        row = 4 * 9 * 11
+        monkeypatch.setattr(ad, "_TILE", row - 1)
+        assert self.run_both(monkeypatch, "conv2d", x, w, b, padding=1) == row
+
+    def test_finite_difference_through_tiles(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        x = Tensor(rng.standard_normal((2, 2, 5, 4)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4)
+        self.tiles(monkeypatch, 2, 2 * 9 * 4)  # tiles of 2, 2 and 1 rows per batch element
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(t, w, padding=1) ** 2.0).sum(), x) < 1e-4
+        assert ad.finite_difference_check(
+            lambda t: (ad.conv2d(x, t, padding=1) ** 2.0).sum(), w) < 1e-4
+        assert ad._workspace.size <= ad._TILE
+
+
 def unblocked_depthwise_conv3x3(x, w):
     """The depthwise forward before channel blocking: each of the nine
     taps runs over every channel at once."""

@@ -14,6 +14,7 @@ refuse exactly what its oracle refuses, with a message that starts with
 import dataclasses
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def new_limit(cls, v):
 def assert_matches_oracle(cls, changes):
     """`cls` built from its valid base values with `changes` refuses them
     exactly when its oracle does or they break the new limit, and its
-    message then starts with `Class.field` for a changed field."""
+    message then starts with `Class.field` and names a changed field."""
     values = {**base_values(cls), **changes}
     try:
         ORACLES[cls](values)
@@ -206,11 +207,11 @@ def assert_matches_oracle(cls, changes):
         error = str(exc)
     assert (error is not None) == (old_refused or new_limit(cls, values)), (values, error)
     if error is not None:
-        # the stride schedule relates height, width and n_encoders
-        if error.startswith("input too small for the encoder stride schedule"):
-            assert set(changes) & {"height", "width", "n_encoders"}, error
-        else:
-            assert any(error.startswith(f"{cls.__name__}.{name} ") for name in changes), error
+        # a rule of one field names only it; a rule relating fields (the
+        # stride schedule, amp_enabled with potential_assisted) names them all
+        named = re.findall(rf"\b{cls.__name__}\.(\w+)", error)
+        assert named and error.startswith(f"{cls.__name__}.{named[0]} "), error
+        assert set(named) <= set(fields_of(cls)) and set(named) & set(changes), error
 
 
 def test_every_single_field_value_matches_the_oracle():
@@ -250,7 +251,7 @@ class Rules:
     (dict(count=True), "Rules.count must be int, got True"),
     (dict(rate=0), "Rules.rate must be > 0, got 0"),
     (dict(rate=float("nan")), "Rules.rate must be finite, got nan"),
-    (dict(rate=10**400), "Rules.rate must be finite, got " + repr(10**400)),
+    (dict(rate=10**400), "Rules.rate must be finite, got " + repr(10**400)[:77] + "..."),
     (dict(kind="C"), "Rules.kind must be one of A/B, got 'C'"),
     (dict(note=3), "Rules.note must be str, got 3"),
 ])
@@ -262,3 +263,17 @@ def test_one_message_form_per_rule(kwargs, message):
 
 def test_defaults_and_none_pass():
     assert Rules(count=9, rate=5e-324, kind="B").note is None
+
+
+@pytest.mark.parametrize("build,prefix", [
+    (lambda v: Rules(count=v), "Rules.count must be int, got [0, 0, "),
+    (lambda v: SceneConfig(motion=v), "SceneConfig.motion must hold [dy, dx] pairs"),
+    (lambda v: SyntheticScene(texture=np.ones((2, 2)), trajectory=[v]),
+     "SyntheticScene.trajectory must hold [dy, dx] pairs"),
+])
+def test_a_long_value_is_echoed_by_its_start(build, prefix):
+    # the whole repr of a 100000-element list once made the message line
+    with pytest.raises(ConfigError) as info:
+        build([0] * 100000)
+    message = str(info.value)
+    assert message.startswith(prefix) and message.endswith("...") and len(message) < 200

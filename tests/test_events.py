@@ -168,6 +168,18 @@ class TestParsing:
         assert repr(ev) == "Event(t=0.5, x=3, y=4, p=-1)"
         assert (ev.t, ev.x, ev.y, ev.p) == (0.5, 3, 4, -1)
 
+    def test_events_from_columns_matches_the_namedtuple_constructor(self):
+        # the build skips Event's Python-level __new__; the oracle is the
+        # map(Event, *columns) it replaced
+        text = "# 5 7\n0.1 3 4 1\n0.25 0 2 0\n0.25 6 4 1\n0.5 1 1 0\n"
+        parsed = parse_event_stream(text)
+        columns = [np.array([getattr(ev, name) for ev in parsed]) for name in Event._fields]
+        events = events_module.events_from_columns(*columns)
+        assert events == list(map(Event, *(c.tolist() for c in columns)))
+        assert parsed == oracle_parse_event_stream(text) and len(events) == 4
+        assert all(type(ev) is Event for ev in events + parsed)
+        assert all(type(v) is f for ev in events for v, f in zip(ev, (float, int, int, int)))
+
     @pytest.mark.parametrize("text,line,error", [
         ("0.1 1 2 1\n# note\n\n0.2 1 2\n", 4, ParseError),             # field count
         ("0.1 1 2 1 5\n", 1, ParseError),

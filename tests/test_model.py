@@ -118,6 +118,15 @@ class TestSpec:
         with pytest.raises(ConfigError, match="input too small"):
             tiny_spec(n_encoders=2**70)
 
+    @pytest.mark.parametrize("kw", [dict(height=3), dict(width=2), dict(n_encoders=5)])
+    def test_stride_schedule_refusal_names_its_fields(self, kw):
+        v = {**dict(height=16, width=16, n_encoders=2), **kw}
+        with pytest.raises(ConfigError) as info:
+            tiny_spec(**kw)
+        assert str(info.value).startswith(
+            f"NetworkSpec.n_encoders = {v['n_encoders']} stride-2 encoders halve "
+            f"NetworkSpec.height = {v['height']} x NetworkSpec.width = {v['width']} ")
+
     def test_int_accepted_for_float_fields(self):
         assert tiny_spec(tau=2, v_th=1).tau == 2
 
