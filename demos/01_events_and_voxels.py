@@ -23,7 +23,8 @@ print(f"simulated {len(events)} events over {scene.dt * (scene.steps - 1) * 1e3:
 on = sum(1 for e in events if e.p > 0)
 print(f"polarity split: {on} ON / {len(events) - on} OFF")
 
-# Window the stream: one window per 10 ms of motion.
+# Window the stream: window k holds frame interval k's events,
+# (k - 1)·dt < t <= k·dt, the windows the network is trained on.
 windows = split_windows(events, 24, 24, duration=scene.dt)
 print(f"\nsplit into {len(windows)} windows of {scene.dt * 1e3:.0f} ms:")
 for w in windows[:3]:

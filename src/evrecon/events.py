@@ -6,15 +6,17 @@ polarity as int64 decimal integers, separated by whitespace. '#' starts a
 comment, and blank lines are skipped. An optional leading "# H W" header
 declares the sensor size (each side 1 to 65535), and every event must
 then lie on it. Polarity is stored on disk as {0, 1}; 0 maps to -1
-internally.
+internally. Training and inference cut a stream by time with one rule:
+window k of d seconds holds the events with (k - 1) * d < t <= k * d, edges
+computed as k * d, and a cut's first window is closed on its left too.
 """
 
-import bisect
 import gc
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, OrderingError, ParseError
 
 MAX_SENSOR_SIDE = 65535  # the largest side a 16-bit pixel address names
+MAX_SCENE_STEPS = 100_000  # the most windows of a cut and frames of a scene (~6 us a step to draw)
 
 
 class Event(NamedTuple):
@@ -51,10 +54,6 @@ class VoxelGrid:
     data: np.ndarray
     t0: float = 0.0
     t1: float = 0.0
-
-    @property
-    def bins(self):
-        return self.data.shape[0]
 
 
 # the columns of one record
@@ -239,11 +238,13 @@ def save_events(path, events, sensor_h, sensor_w):
 
 
 def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
-    """Split a sorted stream into contiguous windows.
+    """Split a sorted stream into contiguous windows, slices of `events`.
 
-    Exactly one of `duration` (fixed time span, seconds) or `count` (fixed
-    number of events) must be given. The last window may be short. Each
-    sensor side must be 1 to MAX_SENSOR_SIDE, as in a size header.
+    Exactly one of `duration` (seconds) or `count` (events) must be given.
+    A cut by duration runs from the window holding the first event, on its
+    closed left edge or inside, to the one holding the last, and makes at
+    most MAX_SCENE_STEPS windows. A window of `count` events (the last may
+    hold fewer) spans its first to its last. Sensor sides: 1 to MAX_SENSOR_SIDE.
     """
     _check_sensor(sensor_h, sensor_w, ConfigError)
     if (duration is None) == (count is None):
@@ -254,30 +255,32 @@ def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
         raise ConfigError(f"window count must be >= 1, got {count}")
     if not events:
         return []
-    windows = []
-    if duration is not None:
-        t_begin = events[0].t
-        t_end = events[-1].t
-        # the final window is closed on the right, so a span that divides
-        # evenly does not spawn an extra window for the boundary event
-        n_windows = max(1, int(np.ceil((t_end - t_begin) / duration)))
-        start = 0
-        for i in range(n_windows):
-            w0 = t_begin + i * duration
-            w1 = w0 + duration
-            if i < n_windows - 1:  # events with t < w1
-                end = bisect.bisect_left(events, w1, lo=start, key=attrgetter("t"))
-            else:  # the final window keeps the rest
-                end = len(events)
-                w1 = max(w1, t_end)
-            windows.append(EventWindow(events[start:end], w0, w1, sensor_h, sensor_w))
-            start = end
-    else:
-        for start in range(0, len(events), count):
-            chunk = events[start:start + count]
-            windows.append(EventWindow(chunk, chunk[0].t, chunk[-1].t,
-                                       sensor_h, sensor_w))
-    return windows
+    if count is not None:
+        chunks = (events[start:start + count] for start in range(0, len(events), count))
+        return [EventWindow(c, c[0].t, c[-1].t, sensor_h, sensor_w) for c in chunks]
+    t_first, t_last = events[0].t, events[-1].t
+    k = _window_of(t_first, duration)
+    first = k + (k * duration == t_first)  # t_first on edge k * d opens window k + 1
+    last = max(first, _window_of(t_last, duration))
+    if not last - first < MAX_SCENE_STEPS:  # also an infinite t / duration
+        raise ConfigError(f"window duration {duration} s cuts the stream's span, {t_first} "
+                          f"to {t_last} s, into more than {MAX_SCENE_STEPS} windows")
+    return _duration_windows(events, duration, int(first), int(last), sensor_h, sensor_w)
+
+
+def _window_of(t, d):
+    """The k, a float, with (k - 1) * d < t <= k * d for the edges k * d."""
+    k = -(-t // d)  # ceil, inf if too large; the quotient may round across an edge
+    return k + (k * d < t) - ((k - 1) * d >= t)
+
+
+def _duration_windows(events, d, first, last, sensor_h, sensor_w):
+    """Windows `first` to `last` of a sorted stream, by the module's rule."""
+    edges = [k * d for k in range(first - 1, last + 1)]
+    ends = [bisect_left(events, edges[0], key=itemgetter(0))]
+    ends += [bisect_right(events, edge, key=itemgetter(0)) for edge in edges[1:]]
+    return [EventWindow(events[a:b], t0, t1, sensor_h, sensor_w)
+            for a, b, t0, t1 in zip(ends, ends[1:], edges, edges[1:])]
 
 
 def encode_voxel_grid(window, n_bins):
@@ -343,4 +346,4 @@ def normalize_nonzero(grid):
 
 def slice_temporal_bins(grid):
     """Ordered list of the B single-channel H x W planes."""
-    return [grid.data[i].copy() for i in range(grid.bins)]
+    return [plane.copy() for plane in grid.data]

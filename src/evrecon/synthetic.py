@@ -9,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, bounded, check_fields, echo
-from .events import MAX_SENSOR_SIDE, events_from_columns
+from .events import MAX_SCENE_STEPS, MAX_SENSOR_SIDE, events_from_columns
 
 LOG_EPS = 1e-3
-MAX_SCENE_STEPS = 100_000  # frames; random_scene draws its walk in Python, ~6 us a step
 
 
 @dataclass

@@ -10,7 +10,6 @@ histogram-normalized and SSIM-scored once, on the tape.
 """
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,8 @@ from . import autodiff as ad
 from . import quality
 from .autodiff import Tensor
 from .errors import ConfigError, DivergenceError, ShapeError, bounded, check_fields
-from .events import EventWindow, encode_voxel_grid, normalize_nonzero, slice_temporal_bins
+from .events import (_duration_windows, encode_voxel_grid, normalize_nonzero,
+                     slice_temporal_bins)
 from .model import spike_rate
 from .synthetic import generate_events
 
@@ -99,18 +99,15 @@ def scene_to_bins(scene, n_bins=1):
     """Events -> per-frame-interval voxel bins, nonzero-normalized.
 
     Returns (bins, gts, flows) aligned per network step: every bin of
-    window s targets ground-truth frame s. Its first bin carries the flow
-    from frame s-1 to frame s; the later bins share that frame, so their
-    flow is (0, 0). With n_bins == 1 there is one step per frame interval.
+    window s, cut by the rule of `split_windows(duration=scene.dt)`,
+    targets ground-truth frame s. Its first bin carries the flow from frame
+    s-1 to frame s; the later bins share that frame, so their flow is
+    (0, 0). With n_bins == 1 there is one step per frame interval.
     """
     events, frames, flows = generate_events(scene)
-    times = [ev.t for ev in events]  # sorted, so each window is one slice
-    h, w = scene.texture.shape
+    windows = _duration_windows(events, scene.dt, 1, len(frames) - 1, *scene.texture.shape)
     bins, gts, step_flows = [], [], []
-    for s in range(1, len(frames)):
-        t0, t1 = (s - 1) * scene.dt, s * scene.dt
-        in_window = events[bisect_right(times, t0):bisect_right(times, t1)]  # t0 < t <= t1
-        window = EventWindow(in_window, t0, t1, h, w)
+    for s, window in enumerate(windows, start=1):
         grid = normalize_nonzero(encode_voxel_grid(window, n_bins))
         bins += slice_temporal_bins(grid)
         gts += [frames[s]] * n_bins

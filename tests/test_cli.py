@@ -9,8 +9,9 @@ from evrecon import cli, quality
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
 from evrecon.errors import ParseError, config_from_dict
-from evrecon.model import Network
+from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import SceneConfig, SyntheticScene
+from evrecon.training import scene_to_bins
 
 SIM_CONFIG = {"height": 16, "width": 16, "steps": 6, "contrast": 0.1}
 
@@ -237,6 +238,19 @@ class TestVoxelize:
         assert capsys.readouterr().err == (f"error: bin count {bins} is too large for a "
                                            f"{size[0]}x{size[1]} grid\n")
 
+    def test_window_count_is_bounded(self, tmp_path, capsys):
+        # 10 ms windows over events at t = 0 and 1e6 s: the stream used to
+        # be cut into 1e8 windows one by one, and voxelize hung
+        events = tmp_path / "events.txt"
+        events.write_text("# 4 4\n0.0 1 1 1\n1000000.0 2 2 0\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-ms", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: window duration 0.01 s cuts the stream's span, 0.0 to 1000000.0 s, "
+            "into more than 100000 windows\n")
+        assert not (tmp_path / "g.spkt").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_metrics(self, trained_dir):
@@ -404,6 +418,20 @@ class TestReconstruct:
         img = read_pgm(frames[0])
         assert img.shape == (16, 16)
         assert 0.0 <= img.min() and img.max() <= 1.0
+
+    def test_inference_bins_equal_the_training_bins(self, sim_dir):
+        # the 10 ms windows used to start at the first event, 0.0002 s, and
+        # not at the frame edges the network is trained on. The file keeps
+        # 9 decimals of t, which moves no event across an edge here; with
+        # --bins > 1 it moves the events within their window
+        meta = sim_dir / "meta.json"
+        scene = config_from_dict(SyntheticScene, json.loads(meta.read_text()), meta)
+        args = argparse.Namespace(events=sim_dir / "events.txt", bins=1, window_ms=10.0,
+                                  window_count=None)
+        got = cli._network_bins(args, NetworkSpec(height=16, width=16))
+        want, _, _ = scene_to_bins(scene, 1)
+        assert len(got) == len(want) == SIM_CONFIG["steps"] - 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_missing_checkpoint_fails(self, sim_dir, tmp_path, capsys):
         missing = tmp_path / "missing.spkt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from evrecon import events as events_module
 from evrecon.errors import ConfigError, OrderingError, ParseError
-from evrecon.events import (Event, EventWindow, encode_voxel_grid, load_events,
+from evrecon.events import (MAX_SCENE_STEPS, Event, EventWindow, encode_voxel_grid, load_events,
                             normalize_nonzero, parse_event_stream, save_events,
                             slice_temporal_bins, split_windows)
 
@@ -99,24 +101,35 @@ def oracle_bulk_parse(lines):
 
 
 def oracle_duration_windows(events, sensor_h, sensor_w, duration):
-    """The per-event loop `split_windows(duration=)` replaced, kept as its
-    reference."""
-    t_begin = events[0].t
-    t_end = events[-1].t
-    n_windows = max(1, int(np.ceil((t_end - t_begin) / duration)))
-    windows = []
-    idx = 0
-    for i in range(n_windows):
-        w0 = t_begin + i * duration
-        w1 = w0 + duration
-        chunk = []
-        while idx < len(events) and (events[idx].t < w1 or i == n_windows - 1):
-            chunk.append(events[idx])
-            idx += 1
-        if i == n_windows - 1:
-            w1 = max(w1, t_end)
-        windows.append(EventWindow(chunk, w0, w1, sensor_h, sensor_w))
+    """The duration rule of `split_windows` as a per-event loop: window k
+    spans [(k - 1) * d, k * d], edges computed as k * d; the cut opens on the
+    window whose [left, right) span holds the first event, and each event
+    goes to the first window whose right edge it does not pass."""
+    k = math.floor(events[0].t / duration) + 1
+    while (k - 1) * duration > events[0].t:  # the quotient rounded across an edge
+        k -= 1
+    while k * duration <= events[0].t:
+        k += 1
+    windows = [EventWindow([], (k - 1) * duration, k * duration, sensor_h, sensor_w)]
+    for ev in events:
+        while ev.t > windows[-1].t1:
+            k += 1
+            windows.append(EventWindow([], (k - 1) * duration, k * duration,
+                                       sensor_h, sensor_w))
+        windows[-1].events.append(ev)
     return windows
+
+
+def assert_tiles(events, windows, duration):
+    """The windows hold every event once, in order, as slices of the
+    stream; each is one duration long, holds (t0, t1] (the first [t0, t1])
+    and ends where the next begins."""
+    assert [ev for w in windows for ev in w.events] == events
+    for i, w in enumerate(windows):
+        assert w.t1 - w.t0 == pytest.approx(duration, rel=1e-6, abs=1e-6)
+        assert all((w.t0 < ev.t or i == 0 and w.t0 == ev.t) and ev.t <= w.t1
+                   for ev in w.events)
+    assert all(a.t1 == b.t0 for a, b in zip(windows, windows[1:]))
 
 
 class TestParsing:
@@ -417,8 +430,8 @@ class TestWindowingProperties:
                              | st.floats(1e-3, 2.0))
         n = data.draw(st.integers(1, 6))
         # timestamps landing exactly on window edges, computed as split_windows does
-        edges = [t_begin + i * duration for i in range(n + 1)]
-        edges += [e + duration for e in edges]
+        k0 = math.floor(t_begin / duration)
+        edges = [k * duration for k in range(k0, k0 + n + 2)]
         ts = data.draw(st.lists(st.sampled_from(edges)
                                 | st.floats(t_begin, t_begin + n * duration), max_size=30))
         events = make_events(sorted([t_begin] + ts))
@@ -445,12 +458,55 @@ class TestWindowing:
         assert len(windows) == 3
 
     def test_duration_exact_multiple_no_empty_tail(self):
-        # events spanning exactly 0.2 s with 0.1 s windows: last event lands
-        # on the closed right edge of window 2, no third window appears
+        # events spanning exactly 0.2 s with 0.1 s windows: the last event
+        # lands on the closed right edge of window 2, no third window
+        # appears, and t = 0 opens window 1 on its closed left edge
         events = make_events([0.0, 0.1, 0.2])
         windows = split_windows(events, 4, 4, duration=0.1)
-        assert len(windows) == 2
-        assert len(windows[-1].events) == 2  # t=0.1 exclusive-left, 0.2 inclusive
+        assert [[ev.t for ev in w.events] for w in windows] == [[0.0, 0.1], [0.2]]
+        assert [(w.t0, w.t1) for w in windows] == [(0.0, 0.1), (0.1, 0.2)]
+
+    def test_duration_windows_are_anchored_at_zero(self):
+        # the windows used to start at the first event: (0.05, 0.15] etc.
+        events = make_events([0.05, 0.1, 0.12, 0.29])
+        windows = split_windows(events, 4, 4, duration=0.1)
+        assert [(w.t0, w.t1) for w in windows] == [(0.0, 0.1), (0.1, 0.2), (0.2, 3 * 0.1)]
+        assert [len(w.events) for w in windows] == [2, 1, 1]
+
+    def test_stream_far_from_zero_is_cut_by_its_span(self):
+        # Unix-epoch timestamps: window indices near 1.6e11, but only
+        # ceil(span / d)-order windows, which tile the stream
+        t0 = 1.6e9 + 0.123
+        events = make_events([t0 + 0.0037 * i for i in range(300)])
+        windows = split_windows(events, 4, 4, duration=0.01)
+        span = events[-1].t - events[0].t
+        assert math.ceil(span / 0.01) <= len(windows) <= math.ceil(span / 0.01) + 1
+        assert windows[0].t0 == round(windows[0].t0 / 0.01) * 0.01
+        assert_tiles(events, windows, 0.01)
+
+    def test_negative_timestamps_follow_the_same_rule(self):
+        events = make_events([-0.3, -0.25, -0.2, -0.05, 0.0, 0.1])
+        windows = split_windows(events, 4, 4, duration=0.1)
+        assert [(w.t0, w.t1) for w in windows] == [
+            (k * 0.1, (k + 1) * 0.1) for k in range(-3, 1)]
+        # -0.3 opens window -2 on its closed left edge; -0.2, 0.0 and 0.1
+        # close theirs on the right
+        assert [[ev.t for ev in w.events] for w in windows] == [
+            [-0.3, -0.25, -0.2], [], [-0.05, 0.0], [0.1]]
+        assert_tiles(events, windows, 0.1)
+
+    def test_window_count_is_bounded(self):
+        # events at 0 and 1e6 s used to make 1e8 windows of 10 ms, one by one
+        assert len(split_windows(make_events([0.0, MAX_SCENE_STEPS * 1.0]), 4, 4,
+                                 duration=1.0)) == MAX_SCENE_STEPS
+        for events, duration in ((make_events([0.0, 1e6]), 0.01),
+                                 (make_events([0.0, MAX_SCENE_STEPS + 0.5]), 1.0),
+                                 (make_events([1.0, 2.0]), 5e-324)):  # t / d is infinite
+            with pytest.raises(ConfigError, match=rf"^window duration {duration} s cuts "
+                                                  rf"the stream's span, {events[0].t} to "
+                                                  rf"{events[-1].t} s, into more than "
+                                                  rf"{MAX_SCENE_STEPS} windows$"):
+                split_windows(events, 4, 4, duration=duration)
 
     def test_window_bounds(self):
         events = make_events([0.0, 0.25])

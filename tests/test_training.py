@@ -7,7 +7,7 @@ from evrecon import training
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
 from evrecon.events import (Event, EventWindow, encode_voxel_grid, normalize_nonzero,
-                            slice_temporal_bins)
+                            slice_temporal_bins, split_windows)
 from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import SyntheticScene, generate_events, random_scene, scene_frames
 from evrecon.quality import score
@@ -239,7 +239,8 @@ class TestSceneToBinsOracle:
             assert np.array_equal(got, ref)
 
     def test_events_on_window_edges(self, monkeypatch):
-        # t0 < t <= t1: an event at t1 belongs to the window that ends there
+        # t0 < t <= t1: an event at t1 belongs to the window that ends there,
+        # and one at t = 0 to window 1, closed on its left too
         scene = random_scene(4, 4, 4, np.random.default_rng(0), contrast=0.1)
         dt = scene.dt
         times = [0.0, dt, dt, 2 * dt, 2.5 * dt, 3 * dt, 3.5 * dt]
@@ -251,7 +252,22 @@ class TestSceneToBinsOracle:
                             lambda w, n: windows.append(w) or encode_voxel_grid(w, n))
         scene_to_bins(scene)
         assert [[ev.t for ev in w.events] for w in windows] == [
-            [dt, dt], [2 * dt], [2.5 * dt, 3 * dt]]
+            [0.0, dt, dt], [2 * dt], [2.5 * dt, 3 * dt]]
+
+    def test_inference_windows_equal_the_training_windows(self, monkeypatch):
+        # split_windows(duration=) used to start at the first event, which
+        # put 25 of the criterion-3 scene's 57,941 events in another window
+        scene = random_scene(32, 32, 41, np.random.default_rng(42), contrast=0.1)
+        trained = []
+        monkeypatch.setattr(training, "encode_voxel_grid",
+                            lambda w, n: trained.append(w) or encode_voxel_grid(w, n))
+        scene_to_bins(scene)
+        cut = split_windows(generate_events(scene)[0], 32, 32, duration=scene.dt)
+        per_event = [[i for i, w in enumerate(windows) for _ in w.events]
+                     for windows in (trained, cut)]
+        assert len(per_event[0]) == len(per_event[1]) == 57941
+        assert sum(a != b for a, b in zip(*per_event)) == 0
+        assert [(w.t0, w.t1) for w in cut] == [(w.t0, w.t1) for w in trained]
 
 
 class TestBatchedData:
