@@ -345,7 +345,7 @@ def _manual_lif_grad(w, xs, cfg):
 # -- argument parsing --------------------------------------------------------
 
 def _non_negative_int(text):
-    """An integer >= 0, the type of `--seed` and `--epochs`."""
+    """An integer >= 0, the type of `--seed`, `--epochs` and `--cutoff`."""
     try:
         value = int(text)
     except ValueError:
@@ -399,7 +399,7 @@ def build_parser():
     p = sub.add_parser("probe", help="empty-input probe of the temporal receptive field")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--events", required=True)
-    p.add_argument("--cutoff", type=int, required=True)
+    p.add_argument("--cutoff", type=_non_negative_int, required=True)
     p.add_argument("--gt", default=None)
     p.add_argument("--out", required=True)
     _add_window_flags(p)

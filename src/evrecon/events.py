@@ -15,7 +15,7 @@ import gc
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -286,44 +286,37 @@ def _duration_windows(events, d, first, last, sensor_h, sensor_w):
 def encode_voxel_grid(window, n_bins):
     """Continuous voxel grid: each event deposits its polarity with a
     triangular kernel onto the two bins around its normalized timestamp
-    t* = (B-1) (t - t0) / (t1 - t0).
+    t* = (B-1) (t - t0) / (t1 - t0). One bincount deposits all the left
+    shares, then all the right ones, each in event order.
     """
     if n_bins < 1:
         raise ConfigError(f"bin count must be >= 1, got {n_bins}")
     h, w = window.sensor_h, window.sensor_w
     if n_bins * h * w * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
         raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
-    grid = np.zeros((n_bins, h, w))
-    if not window.events:
-        return VoxelGrid(grid, window.t0, window.t1)
-
-    t = np.array([ev.t for ev in window.events])
-    x = np.array([ev.x for ev in window.events], dtype=np.intp)
-    y = np.array([ev.y for ev in window.events], dtype=np.intp)
-    p = np.array([ev.p for ev in window.events], dtype=np.float64)
+    n = len(window.events)
+    t, x, y, p = np.fromiter(chain.from_iterable(window.events), np.float64,
+                             4 * n).reshape(n, 4).T
+    x, y = x.astype(np.intp), y.astype(np.intp)
     outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
     if outside.any():
         i = int(outside.argmax())
-        raise ParseError(f"event {i} at (x, y) = ({x[i]}, {y[i]}) lies outside "
+        ev = window.events[i]
+        raise ParseError(f"event {i} at (x, y) = ({ev.x}, {ev.y}) lies outside "
                          f"the {h}x{w} sensor")
 
     span = window.t1 - window.t0
-    if span > 0 and n_bins > 1:
-        t_star = (n_bins - 1) * (t - window.t0) / span
-    else:
-        t_star = np.zeros_like(t)
-
-    flat = grid.ravel()
+    t_star = (n_bins - 1) * (t - window.t0) / span if span > 0 and n_bins > 1 else np.zeros(n)
     lo = np.floor(t_star).astype(np.intp)
     frac = t_star - lo
-    plane = h * w
-    pix = y * w + x
-    left_ok = (lo >= 0) & (lo <= n_bins - 1)
-    np.add.at(flat, lo[left_ok] * plane + pix[left_ok], p[left_ok] * (1.0 - frac[left_ok]))
-    hi = lo + 1
-    right_ok = (hi >= 0) & (hi <= n_bins - 1)
-    np.add.at(flat, hi[right_ok] * plane + pix[right_ok], p[right_ok] * frac[right_ok])
-    return VoxelGrid(grid, window.t0, window.t1)
+    bins = np.concatenate([lo, lo + 1])
+    weights = np.concatenate([p * (1.0 - frac), p * frac])
+    ok = (bins >= 0) & (bins < n_bins)  # before the multiply, which a far event overflows
+    cells = bins[ok] * (h * w) + np.tile(y * w + x, 2)[ok]
+    grid = np.bincount(cells, weights[ok], minlength=n_bins * h * w)
+    # numpy counts an empty deposit in int64, whatever the weights
+    return VoxelGrid(grid.astype(np.float64, copy=False).reshape(n_bins, h, w),
+                     window.t0, window.t1)
 
 
 def normalize_nonzero(grid):

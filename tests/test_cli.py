@@ -502,6 +502,18 @@ class TestProbe:
         assert capsys.readouterr().err == f"error: {gt}: no gt_*.pgm files to score against\n"
         assert not (tmp_path / "probe.csv").exists()
 
+    def test_negative_cutoff_is_an_argument_error(self, sim_dir, trained_dir, tmp_path,
+                                                  capsys):
+        # accepted before: every bin was zeroed and every row marked after_cutoff
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                  "--events", str(sim_dir / "events.txt"), "--cutoff", "-1",
+                  "--out", str(tmp_path / "o"), "--bins", "1", "--window-ms", "10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --cutoff: expected an integer >= 0, got '-1'")
+        assert not (tmp_path / "o").exists()
+
 
 class TestProfile:
     def test_paper_rates_evsnn(self, capsys):

@@ -560,6 +560,58 @@ def brute_force_voxel(window, n_bins):
     return grid
 
 
+def oracle_encode_voxel_grid(window, n_bins):
+    """The voxelizer that read four per-field lists and deposited with two
+    `np.add.at` passes, kept as the bitwise reference for the one-bincount
+    deposit."""
+    h, w = window.sensor_h, window.sensor_w
+    grid = np.zeros((n_bins, h, w))
+    if not window.events:
+        return grid
+    t = np.array([ev.t for ev in window.events])
+    x = np.array([ev.x for ev in window.events], dtype=np.intp)
+    y = np.array([ev.y for ev in window.events], dtype=np.intp)
+    p = np.array([ev.p for ev in window.events], dtype=np.float64)
+    span = window.t1 - window.t0
+    if span > 0 and n_bins > 1:
+        t_star = (n_bins - 1) * (t - window.t0) / span
+    else:
+        t_star = np.zeros_like(t)
+    flat = grid.ravel()
+    lo = np.floor(t_star).astype(np.intp)
+    frac = t_star - lo
+    plane = h * w
+    pix = y * w + x
+    left_ok = (lo >= 0) & (lo <= n_bins - 1)
+    np.add.at(flat, lo[left_ok] * plane + pix[left_ok], p[left_ok] * (1.0 - frac[left_ok]))
+    hi = lo + 1
+    right_ok = (hi >= 0) & (hi <= n_bins - 1)
+    np.add.at(flat, hi[right_ok] * plane + pix[right_ok], p[right_ok] * frac[right_ok])
+    return grid
+
+
+@st.composite
+def voxel_windows(draw):
+    """(window, n_bins): sensors up to 64x64, empty windows, t1 == t0, and
+    timestamps on bin edges, negative or far outside the window. Small
+    sensors stack many deposits on one cell, where their order shows."""
+    side = st.sampled_from([1, 2, 3]) | st.integers(1, 64)
+    h, w = draw(side), draw(side)
+    n_bins = draw(st.sampled_from([1, 2, 5]) | st.integers(1, 9))
+    t0 = draw(st.sampled_from([0.0, -1.0, 0.25]) | st.floats(-100.0, 100.0))
+    span = draw(st.sampled_from([0.0, 0.01, 1.0]) | st.floats(0.0, 10.0))
+    t1 = t0 + span
+    edges = [t0 + k * span / max(n_bins - 1, 1) for k in range(n_bins)]
+    inside = st.integers(0, 2**52).map(lambda k: t0 + span * (k / 2**52))  # generic shares
+    times = (st.sampled_from(edges + [t1, -0.0, 1e30, -1e30]) | inside | inside
+             | st.floats(min(t0, -1.0), t1) | st.floats(-1e30, 1e30))
+    n = draw(st.sampled_from([0, 1, 40]) | st.integers(0, 40))
+    events = draw(st.lists(st.builds(Event, times, st.integers(0, w - 1),
+                                     st.integers(0, h - 1), st.sampled_from([-1, 1])),
+                           min_size=n, max_size=n))
+    return EventWindow(events, t0, t1, h, w), n_bins
+
+
 class TestVoxelGrid:
     def test_single_event_on_bin_center(self):
         # t exactly at bin 2 of 5 deposits full weight there only
@@ -623,6 +675,16 @@ class TestVoxelGrid:
         w = EventWindow(events, 0.0, 1.0, 2, 4)
         with pytest.raises(ParseError, match=rf"event 2 at \(x, y\) = \({x}, {y}\).*2x4"):
             encode_voxel_grid(w, 3)
+
+    @PROPERTY
+    @given(voxel_windows())
+    def test_equals_two_pass_oracle_bitwise(self, case):
+        window, n_bins = case
+        with np.errstate(invalid="ignore"):  # far events overflow the bin cast in both
+            got = encode_voxel_grid(window, n_bins).data
+            want = oracle_encode_voxel_grid(window, n_bins)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
     def test_slice_temporal_bins(self):
         w = EventWindow(make_events([0.1]), 0.0, 1.0, 3, 3)
