@@ -9,7 +9,6 @@ has run, so a training step's memory stays at its forward's peak.
 """
 
 from contextlib import contextmanager
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -365,21 +364,7 @@ def zero_pad(x, top, bottom, left, right):
     return out
 
 
-_workspace = np.empty(0)  # grow-only buffer behind every conv column block
 _TILE = 2 ** 21  # elements of one conv column tile (16 MiB), unless one output row needs more
-
-
-def _columns(shape):
-    """A float64 `shape` view of the start of the column workspace, which
-    grows when too small. Its contents last until the next call, so no
-    returned array or backward closure may hold it; evrecon runs ops on
-    one thread. Reuse spares a fresh block's page faults: glibc unmaps a
-    freed block above 32 MB and faults it in again on the next call."""
-    global _workspace
-    size = math.prod(shape)
-    if size > _workspace.size:
-        _workspace = np.empty(size)
-    return _workspace[:size].reshape(shape)
 
 
 def _conv(x, w, stride, padding, need_x, need_w):
@@ -395,8 +380,7 @@ def _conv(x, w, stride, padding, need_x, need_w):
     whose whole block fits is one tile. The backward runs the same tiles:
     it gathers the columns again and adds `g @ cols.T` to the weight
     gradient, then computes `wmat.T @ g` and scatters it with k*k slice
-    adds. Every column block lives in the reused workspace (`_columns`),
-    never in a returned array.
+    adds.
 
     Output-shift form, for stride 1 with C_out < C_in (the prediction
     conv): one GEMM of the (k*k*C_out, C_in) tap-major kernel with the
@@ -447,7 +431,7 @@ def _conv(x, w, stride, padding, need_x, need_w):
     tiles = [(b, r0, min(r0 + rows, h_out)) for b in range(n) for r0 in range(0, h_out, rows)]
 
     def gather(b, r0, r1):
-        cols = _columns((c_in, k, k, r1 - r0, w_out))
+        cols = np.empty((c_in, k, k, r1 - r0, w_out))
         windows = sliding_window_view(xp[b], (k, k), axis=(1, 2))[:, ::stride, ::stride]
         np.copyto(cols, windows[:, r0:r1].transpose(0, 3, 4, 1, 2))
         return cols.reshape(c_in * k * k, (r1 - r0) * w_out)
@@ -461,11 +445,10 @@ def _conv(x, w, stride, padding, need_x, need_w):
         gxp = np.zeros(xp.shape) if need_x else None
         for b, r0, r1 in tiles:
             gt = g[b, :, r0:r1].reshape(c_out, -1)
-            if need_w:  # first: gcols below overwrites the gathered columns
+            if need_w:
                 gw += gt @ gather(b, r0, r1).T
             if need_x:
-                gcols = np.matmul(wmat.T, gt, out=_columns((c_in * k * k, gt.shape[1])))
-                gcols = gcols.reshape(c_in, k, k, r1 - r0, w_out)
+                gcols = (wmat.T @ gt).reshape(c_in, k, k, r1 - r0, w_out)
                 for i, j in taps:
                     gxp[b, :, i + stride * r0:i + stride * r1:stride,
                         j:j + stride * w_out:stride] += gcols[:, i, j]

@@ -74,14 +74,17 @@ def _windows(events, sensor, args):
     return split_windows(events, *sensor, duration=duration, count=args.window_count)
 
 
-def _network_bins(args, spec):
-    """The normalized bins of `--events` for a network of `spec`; a file
-    without a size header is taken to be the spec's size."""
+def _network_windows(args, spec):
+    """(window, its normalized bins) of each window of `--events` for a network
+    of `spec`; a file without a size header is taken to be the spec's size."""
     events, sensor = load_events(args.events)
-    bins = []
-    for window in _windows(events, sensor or (spec.height, spec.width), args):
-        bins.extend(slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, args.bins))))
-    return bins
+    return [(window, slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, args.bins))))
+            for window in _windows(events, sensor or (spec.height, spec.width), args)]
+
+
+def _network_bins(args, spec):
+    """The bins of `--events` for a network of `spec`, window after window."""
+    return [b for _, bins in _network_windows(args, spec) for b in bins]
 
 
 # -- commands ----------------------------------------------------------------
@@ -155,33 +158,45 @@ def cmd_reconstruct(args):
     return 0
 
 
+def _ground_truth(gt_dir, windows, duration, spec):
+    """The frame of each window: window k, which ends at k * duration, leads
+    to gt_k.pgm, as in scene_to_bins."""
+    frames = {p.name: read_pgm(p) for p in sorted(gt_dir.glob("gt_*.pgm"))}
+    if not frames:
+        raise ConfigError(f"{gt_dir}: no gt_*.pgm files to score against")
+    for name, frame in frames.items():
+        if frame.shape != (spec.height, spec.width):
+            raise ConfigError(f"{gt_dir / name}: frame is {frame.shape[0]}x{frame.shape[1]}, "
+                              f"the network reconstructs {spec.height}x{spec.width}")
+    names = [f"gt_{round(window.t1 / duration):04d}.pgm" for window, _ in windows]
+    missing = [name for name in names if name not in frames]
+    if missing:
+        raise ConfigError(f"{gt_dir}: no {missing[0]} to score its window against")
+    return [frames[name] for name in names]
+
+
 def cmd_probe(args):
+    if args.gt and args.window_count is not None:
+        raise ConfigError("probe --gt scores each window against the frame at its end, "
+                          "so it takes --window-ms, not --window-count")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = Network.load(args.checkpoint)
-    feed = [b if i < args.cutoff else np.zeros_like(b)
-            for i, b in enumerate(_network_bins(args, net.spec))]
-    gt_frames = None
-    if args.gt:
-        gt_dir = Path(args.gt)
-        gt_frames = [read_pgm(p) for p in sorted(gt_dir.glob("gt_*.pgm"))]
-        if not gt_frames:
-            raise ConfigError(f"{gt_dir}: no gt_*.pgm files to score against")
+    windows = _network_windows(args, net.spec)
+    targets = (_ground_truth(Path(args.gt), windows, args.window_ms / 1000.0, net.spec)
+               if args.gt else [None] * len(windows))
+    feed = [(plane, gt) for (_, bins), gt in zip(windows, targets) for plane in bins]
 
     rows = []
     net.reset_state()
     with ad.no_grad():
-        for i, plane in enumerate(feed):
+        for i, (plane, gt) in enumerate(feed):
             spike_counts = {}
-            img = net.forward_step(plane, spike_counts).data[0, 0]
-            row = {"step": i, "mse": "", "ssim": "", "spike_rate": spike_rate(spike_counts),
-                   "after_cutoff": int(i >= args.cutoff)}
-            if gt_frames:
-                # bins are window-major: bin i is of window i // bins, which reconstructs
-                # the frame after it, as in scene_to_bins
-                gt = gt_frames[min(i // args.bins + 1, len(gt_frames) - 1)]
-                row["mse"], row["ssim"] = quality.score(img, gt)
-            rows.append(row)
+            img = net.forward_step(plane if i < args.cutoff else np.zeros_like(plane),
+                                   spike_counts).data[0, 0]
+            mse, ssim = ("", "") if gt is None else quality.score(img, gt)
+            rows.append({"step": i, "mse": mse, "ssim": ssim, "spike_rate": spike_rate(spike_counts),
+                         "after_cutoff": int(i >= args.cutoff)})
     csv_path = out / "probe.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["step", "mse", "ssim",

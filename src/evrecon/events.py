@@ -229,12 +229,12 @@ def _first_unreadable(lines):
 
 
 def save_events(path, events, sensor_h, sensor_w):
-    """Write events in the on-disk format (p as {0, 1}) under a
-    "# sensor_h sensor_w" size header."""
+    """Write events in the on-disk format (p as {0, 1}, t in its shortest
+    form that reads back bitwise) under a "# sensor_h sensor_w" size header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {sensor_h} {sensor_w}\n")
         for ev in events:
-            fh.write(f"{ev.t:.9f} {ev.x} {ev.y} {1 if ev.p > 0 else 0}\n")
+            fh.write(f"{ev.t} {ev.x} {ev.y} {1 if ev.p > 0 else 0}\n")
 
 
 def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
@@ -307,11 +307,12 @@ def encode_voxel_grid(window, n_bins):
 
     span = window.t1 - window.t0
     t_star = (n_bins - 1) * (t - window.t0) / span if span > 0 and n_bins > 1 else np.zeros(n)
-    lo = np.floor(t_star).astype(np.intp)
+    lo = np.floor(t_star)
     frac = t_star - lo
+    lo = np.clip(lo, -2, n_bins).astype(np.intp)  # castable; shares outside [0, B) drop below
     bins = np.concatenate([lo, lo + 1])
     weights = np.concatenate([p * (1.0 - frac), p * frac])
-    ok = (bins >= 0) & (bins < n_bins)  # before the multiply, which a far event overflows
+    ok = (bins >= 0) & (bins < n_bins)
     cells = bins[ok] * (h * w) + np.tile(y * w + x, 2)[ok]
     grid = np.bincount(cells, weights[ok], minlength=n_bins * h * w)
     # numpy counts an empty deposit in int64, whatever the weights

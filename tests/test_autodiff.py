@@ -230,9 +230,9 @@ class TestConvKernel:
 
 
 def slice_gather_conv(x, w, stride, padding, need_x=True, need_w=True):
-    """The channel-first kernel before the column workspace: k*k strided
-    slice copies fill a column block that numpy allocates fresh on every
-    call, in the forward and again in the backward. Channel-first form
+    """The channel-first kernel before row tiles and the strided-view
+    gather: k*k strided slice copies fill the whole column block, allocated
+    fresh in the forward and again in the backward. Channel-first form
     only, so not for stride 1 with C_out < C_in."""
     n, c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
@@ -272,10 +272,9 @@ def slice_gather_conv(x, w, stride, padding, need_x=True, need_w=True):
 
 
 class TestColumnWorkspace:
-    """`ad._conv`'s strided-view gather into the reused column workspace
-    against the slice gather into fresh blocks that it replaced: every
-    output and gradient bitwise equal, and no result aliasing the
-    workspace."""
+    """`ad._conv`'s column tiles, each filled by one strided-view copy,
+    against the slice gather of whole blocks that they replaced: every
+    output and gradient bitwise equal when the block is one tile."""
 
     @staticmethod
     def run_both(monkeypatch, op, x, w, b, **kw):
@@ -300,14 +299,13 @@ class TestColumnWorkspace:
         x, w, b = (rng.standard_normal(s) for s in ((2, 6, 5, 4), (3, 6, k, k), 3))
         self.run_both(monkeypatch, "upsample2x_conv2d", x, w, b)
 
-    def test_output_survives_later_convs(self, monkeypatch):
-        monkeypatch.setattr(ad, "_workspace", np.empty(0))
+    def test_output_survives_later_convs(self):
         out = ad.conv2d(Tensor(rand(1, 3, 8, 8)), Tensor(rand(4, 3, 3, 3, seed=1)), padding=1)
         want = out.data.copy()
         ad.conv2d(Tensor(rand(1, 6, 16, 16, seed=2)), Tensor(rand(8, 6, 5, 5, seed=3)),
-                  padding=2)  # a larger block: the workspace grows
+                  padding=2)  # a larger column block
         ad.conv2d(Tensor(rand(1, 2, 4, 4, seed=4)), Tensor(rand(2, 2, 3, 3, seed=5)),
-                  padding=1)  # a smaller one: the workspace's start is overwritten
+                  padding=1)  # a smaller one
         np.testing.assert_array_equal(out.data, want)
 
     def test_training_order_matches_fresh_blocks(self, monkeypatch):
@@ -319,7 +317,6 @@ class TestColumnWorkspace:
 
         def run(kernel):
             monkeypatch.setattr(ad, "_conv", kernel)
-            monkeypatch.setattr(ad, "_workspace", np.empty(0))
             xt = Tensor(x, requires_grad=True)
             wts = [Tensor(w, requires_grad=True) for w in ws]
             h = ad.sigmoid(ad.conv2d(xt, wts[0], padding=2))
@@ -333,90 +330,108 @@ class TestColumnWorkspace:
         for a, e in zip(got, want):
             np.testing.assert_array_equal(a, e)
 
-    def test_no_result_shares_the_workspace(self, monkeypatch):
-        monkeypatch.setattr(ad, "_workspace", np.empty(0))
-        ad.conv2d(Tensor(rand(1, 4, 16, 16)), Tensor(rand(4, 4, 5, 5, seed=1)),
-                  padding=2)  # grows the workspace past every block below
-        workspace = ad._workspace
-        results = []
-        for op, kw in (("conv2d", {"padding": 1}), ("conv2d", {"stride": 2, "padding": 1}),
-                       ("upsample2x_conv2d", {})):
-            xt = Tensor(rand(2, 3, 6, 5, seed=2), requires_grad=True)
-            wt = Tensor(rand(4, 3, 3, 3, seed=3), requires_grad=True)
-            bt = Tensor(rand(4, seed=4), requires_grad=True)
-            out = getattr(ad, op)(xt, wt, bt, **kw)
-            workspace.fill(np.nan)  # the backward must not read what its forward left there
-            (out * out).sum().backward()
-            results += [out.data, xt.grad, wt.grad, bt.grad]
-        assert ad._workspace is workspace
-        for a in results:
-            assert np.isfinite(a).all() and not np.shares_memory(a, workspace)
+
+TRACE_SLACK = 16384  # bytes a traced conv holds besides arrays: views, lists, trace records
+
+
+def tracing_conv(excess):
+    """`ad._conv` that appends to `excess` each call's traced forward peak
+    above its padded input and its output, in bytes; tracemalloc must be
+    tracing. Every other array of a channel-first forward is a column tile;
+    the output-shift form's are its partial outputs."""
+    conv = ad._conv
+
+    def traced(x, w, stride, padding, need_x, need_w):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out, bw = conv(x, w, stride, padding, need_x, need_w)
+        n, c, h, wd = x.shape
+        padded = 8 * n * c * (h + 2 * padding) * (wd + 2 * padding) if padding else 0
+        excess.append(tracemalloc.get_traced_memory()[1] - start - padded - out.nbytes)
+        return out, bw
+
+    return traced
+
+
+def assert_one_tile(excess, tile):
+    """A traced forward held one column tile of `tile` elements."""
+    assert 8 * tile <= excess <= 8 * tile + TRACE_SLACK, (excess, 8 * tile)
 
 
 class TestConvTiles:
     """`ad._conv` with `_TILE` shrunk so that each conv runs many row tiles,
     against the whole-block slice gather: outputs and gradients agree to
     roundoff (splitting a GEMM or reordering the scatter's adds may move
-    the last bits), and the workspace never holds more than one tile
-    unless one output row alone is larger. The bitwise tests above cover
-    the one-tile case every toy network takes."""
+    the last bits), and the traced forward holds one tile above its padded
+    input and output, of at most `_TILE` elements unless one output row
+    alone is larger. The bitwise tests above cover the one-tile case every
+    toy network takes."""
 
     @staticmethod
     def tiles(monkeypatch, rows, row_size):
-        """Shrink the tile to `rows` output rows of `row_size` elements and
-        empty the workspace."""
+        """Shrink the tile to `rows` output rows of `row_size` elements."""
         monkeypatch.setattr(ad, "_TILE", rows * row_size + row_size // 2)
-        monkeypatch.setattr(ad, "_workspace", np.empty(0))
 
     @staticmethod
     def run_both(monkeypatch, op, x, w, b, **kw):
+        """Compare the kernels through `op`; returns the tiled forward's
+        traced peak above its padded input and output."""
         g = np.random.default_rng(9).standard_normal(
             getattr(ad, op)(Tensor(x), Tensor(w), **kw).shape)
-        monkeypatch.setattr(ad, "_workspace", np.empty(0))
-        kernel = ad._conv
-        got = TestConvKernel.run(monkeypatch, kernel, op, x, w, b, g, **kw)
-        size = ad._workspace.size
+        excess = []
+        tracemalloc.start()
+        try:
+            got = TestConvKernel.run(monkeypatch, tracing_conv(excess), op, x, w, b, g, **kw)
+        finally:
+            tracemalloc.stop()
         want = TestConvKernel.run(monkeypatch, slice_gather_conv, op, x, w, b, g, **kw)
         for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"), got, want):
             np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12, err_msg=name)
-        return size
+        return max(excess)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_matches_whole_block(self, monkeypatch, stride, k):
         rng = np.random.default_rng(70 + k)
-        x, w, b = (rng.standard_normal(s) for s in ((2, 3, 13, 9), (5, 3, k, k), 5))
-        h_out, w_out = (13 - 1) // stride + 1, (9 - 1) // stride + 1  # padding k // 2
-        self.tiles(monkeypatch, 3, 3 * k * k * w_out)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 16, 13, 96), (16, 16, k, k), 16))
+        h_out, w_out = (13 - 1) // stride + 1, (96 - 1) // stride + 1  # padding k // 2
+        self.tiles(monkeypatch, 3, 16 * k * k * w_out)
         assert h_out % 3 != 0  # a short last tile
-        size = self.run_both(monkeypatch, "conv2d", x, w, b, stride=stride, padding=k // 2)
-        assert size == 3 * 3 * k * k * w_out <= ad._TILE
+        excess = self.run_both(monkeypatch, "conv2d", x, w, b, stride=stride, padding=k // 2)
+        assert_one_tile(excess, 3 * 16 * k * k * w_out)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_upsample2x_conv2d_matches_whole_block(self, monkeypatch, k):
         rng = np.random.default_rng(80 + k)
-        x, w, b = (rng.standard_normal(s) for s in ((2, 6, 7, 4), (3, 6, k, k), 3))
+        x, w, b = (rng.standard_normal(s) for s in ((2, 16, 7, 40), (4, 16, k, k), 4))
         kp = 2 * ((k // 2 + 1) // 2) + 1  # the phase kernel's side
-        self.tiles(monkeypatch, 2, 6 * kp * kp * 4)
-        assert self.run_both(monkeypatch, "upsample2x_conv2d", x, w, b) <= ad._TILE
+        self.tiles(monkeypatch, 2, 16 * kp * kp * 40)
+        assert_one_tile(self.run_both(monkeypatch, "upsample2x_conv2d", x, w, b),
+                        2 * 16 * kp * kp * 40)
 
     def test_a_row_larger_than_the_tile_is_one_tile(self, monkeypatch):
         rng = np.random.default_rng(90)
-        x, w, b = (rng.standard_normal(s) for s in ((2, 4, 5, 11), (6, 4, 3, 3), 6))
-        row = 4 * 9 * 11
+        x, w, b = (rng.standard_normal(s) for s in ((2, 16, 5, 40), (16, 16, 3, 3), 16))
+        row = 16 * 9 * 40
         monkeypatch.setattr(ad, "_TILE", row - 1)
-        assert self.run_both(monkeypatch, "conv2d", x, w, b, padding=1) == row
+        assert_one_tile(self.run_both(monkeypatch, "conv2d", x, w, b, padding=1), row)
 
     def test_finite_difference_through_tiles(self, monkeypatch):
         rng = np.random.default_rng(91)
         x = Tensor(rng.standard_normal((2, 2, 5, 4)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4)
         self.tiles(monkeypatch, 2, 2 * 9 * 4)  # tiles of 2, 2 and 1 rows per batch element
-        assert ad.finite_difference_check(
-            lambda t: (ad.conv2d(t, w, padding=1) ** 2.0).sum(), x) < 1e-4
-        assert ad.finite_difference_check(
-            lambda t: (ad.conv2d(x, t, padding=1) ** 2.0).sum(), w) < 1e-4
-        assert ad._workspace.size <= ad._TILE
+        excess = []
+        monkeypatch.setattr(ad, "_conv", tracing_conv(excess))
+        tracemalloc.start()
+        try:
+            assert ad.finite_difference_check(
+                lambda t: (ad.conv2d(t, w, padding=1) ** 2.0).sum(), x) < 1e-4
+            assert ad.finite_difference_check(
+                lambda t: (ad.conv2d(x, t, padding=1) ** 2.0).sum(), w) < 1e-4
+        finally:
+            tracemalloc.stop()
+        assert_one_tile(max(excess), 2 * 2 * 9 * 4)
 
 
 def unblocked_depthwise_conv3x3(x, w):

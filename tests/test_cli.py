@@ -419,18 +419,18 @@ class TestReconstruct:
         assert img.shape == (16, 16)
         assert 0.0 <= img.min() and img.max() <= 1.0
 
-    def test_inference_bins_equal_the_training_bins(self, sim_dir):
+    @pytest.mark.parametrize("bins", [1, 3, 5])
+    def test_inference_bins_equal_the_training_bins(self, sim_dir, bins):
         # the 10 ms windows used to start at the first event, 0.0002 s, and
-        # not at the frame edges the network is trained on. The file keeps
-        # 9 decimals of t, which moves no event across an edge here; with
-        # --bins > 1 it moves the events within their window
+        # not at the frame edges the network is trained on; and the file kept
+        # 9 decimals of t, which moved the bins of --bins > 1 by up to 3e-7
         meta = sim_dir / "meta.json"
         scene = config_from_dict(SyntheticScene, json.loads(meta.read_text()), meta)
-        args = argparse.Namespace(events=sim_dir / "events.txt", bins=1, window_ms=10.0,
+        args = argparse.Namespace(events=sim_dir / "events.txt", bins=bins, window_ms=10.0,
                                   window_count=None)
         got = cli._network_bins(args, NetworkSpec(height=16, width=16))
-        want, _, _ = scene_to_bins(scene, 1)
-        assert len(got) == len(want) == SIM_CONFIG["steps"] - 1
+        want, _, _ = scene_to_bins(scene, bins)
+        assert len(got) == len(want) == bins * (SIM_CONFIG["steps"] - 1)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_missing_checkpoint_fails(self, sim_dir, tmp_path, capsys):
@@ -473,8 +473,69 @@ class TestProbe:
         frames = [read_pgm(p) for p in sorted(sim_dir.glob("gt_*.pgm"))]
         assert len(rows) == len(images) >= 4
         for i, (row, img) in enumerate(zip(rows, images)):
-            mse, ssim = quality.score(img, frames[min(i // 2 + 1, len(frames) - 1)])
+            mse, ssim = quality.score(img, frames[i // 2 + 1])
             assert (float(row["mse"]), float(row["ssim"])) == (mse, ssim)
+
+    def test_a_static_first_interval_shifts_every_frame(self, sim_dir, trained_dir, tmp_path):
+        # with no event in (0, 10] ms the cut starts at window 2, and its bins
+        # were scored against gt_0001 and on, one frame early
+        events = tmp_path / "events.txt"
+        lines = (sim_dir / "events.txt").read_text().splitlines()
+        events.write_text("\n".join(
+            line for line in lines if line.startswith("#") or float(line.split()[0]) > 0.01))
+        assert main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                     "--events", str(events), "--cutoff", "100", "--gt", str(sim_dir),
+                     "--out", str(tmp_path), "--bins", "1", "--window-ms", "10"]) == 0
+        with open(tmp_path / "probe.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        net = Network.load(trained_dir / "checkpoint.spkt")
+        args = argparse.Namespace(events=events, bins=1, window_ms=10.0, window_count=None)
+        images = net.forward_sequence(cli._network_bins(args, net.spec))
+        frames = [read_pgm(p) for p in sorted(sim_dir.glob("gt_*.pgm"))]
+        assert len(rows) == len(images) == SIM_CONFIG["steps"] - 2
+        for i, (row, img) in enumerate(zip(rows, images)):
+            mse, ssim = quality.score(img, frames[i + 2])
+            assert (float(row["mse"]), float(row["ssim"])) == (mse, ssim)
+
+    def test_missing_frame_names_the_directory(self, sim_dir, trained_dir, tmp_path, capsys):
+        # the last frame was reused for every window past it
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        for i in range(3):
+            (gt / f"gt_{i:04d}.pgm").write_bytes((sim_dir / f"gt_{i:04d}.pgm").read_bytes())
+        rc = main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                   "--events", str(sim_dir / "events.txt"), "--cutoff", "2",
+                   "--gt", str(gt), "--out", str(tmp_path), "--bins", "1",
+                   "--window-ms", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt}: no gt_0003.pgm to score its window against\n")
+        assert not (tmp_path / "probe.csv").exists()
+
+    def test_frame_of_another_size_names_the_file(self, sim_dir, trained_dir, tmp_path,
+                                                  capsys):
+        # ended in "mse shape mismatch: (16, 16) vs (16, 4)"
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        write_pgm(gt / "gt_0001.pgm", np.zeros((16, 4)))
+        rc = main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                   "--events", str(sim_dir / "events.txt"), "--cutoff", "2",
+                   "--gt", str(gt), "--out", str(tmp_path), "--bins", "1",
+                   "--window-ms", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt / 'gt_0001.pgm'}: frame is 16x4, the network reconstructs 16x16\n")
+
+    def test_ground_truth_needs_windows_by_time(self, sim_dir, trained_dir, tmp_path, capsys):
+        rc = main(["probe", "--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                   "--events", str(sim_dir / "events.txt"), "--cutoff", "2",
+                   "--gt", str(sim_dir), "--out", str(tmp_path / "o"), "--bins", "1",
+                   "--window-count", "50"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: probe --gt scores each window against the frame at its end, "
+            "so it takes --window-ms, not --window-count\n")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_ground_truth_frame_names_the_file(self, sim_dir, trained_dir,
                                                    tmp_path, capsys):

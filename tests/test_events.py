@@ -12,6 +12,7 @@ from evrecon.events import (MAX_SCENE_STEPS, Event, EventWindow, encode_voxel_gr
                             slice_temporal_bins, split_windows)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_events(ts, x=0, y=0, p=1):
@@ -172,6 +173,13 @@ class TestParsing:
         assert len(loaded) == 2
         assert loaded[0].x == 3 and loaded[1].p == -1
         assert loaded[1].t == pytest.approx(0.25, abs=1e-9)
+
+    def test_timestamps_round_trip_bitwise(self, tmp_path):
+        # 9 decimals moved the bins of a saved scene by up to 3e-7
+        times = sorted([0.1 + 0.2, 1 / 3, 2.5e-7, 0.0104, 1.6e9 + 0.123456789, 1e-300, -0.7])
+        path = tmp_path / "ev.txt"
+        save_events(path, make_events(times), sensor_h=10, sensor_w=12)
+        assert [ev.t for ev in load_events(path)[0]] == times
 
 
     def test_event_is_a_named_tuple(self):
@@ -676,12 +684,20 @@ class TestVoxelGrid:
         with pytest.raises(ParseError, match=rf"event 2 at \(x, y\) = \({x}, {y}\).*2x4"):
             encode_voxel_grid(w, 3)
 
+    @pytest.mark.parametrize("far", [1e30, -1e30])
+    def test_far_event_is_dropped_without_a_warning(self, far):
+        # its t* overflowed the bin cast, and numpy warned on stderr
+        near = make_events([0.2, 0.7])
+        got = encode_voxel_grid(EventWindow(sorted(near + make_events([far])), 0.0, 1.0, 2, 2), 3)
+        want = encode_voxel_grid(EventWindow(near, 0.0, 1.0, 2, 2), 3)
+        assert got.data.tobytes() == want.data.tobytes()
+
     @PROPERTY
     @given(voxel_windows())
     def test_equals_two_pass_oracle_bitwise(self, case):
         window, n_bins = case
-        with np.errstate(invalid="ignore"):  # far events overflow the bin cast in both
-            got = encode_voxel_grid(window, n_bins).data
+        got = encode_voxel_grid(window, n_bins).data
+        with np.errstate(invalid="ignore"):  # far events overflow the oracle's bin cast
             want = oracle_encode_voxel_grid(window, n_bins)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
