@@ -20,7 +20,7 @@ print(f"scene: {scene.texture.shape[0]}x{scene.texture.shape[1]}, "
       f"{scene.steps} frames, contrast threshold {scene.contrast}")
 print(f"simulated {len(events)} events over {scene.dt * (scene.steps - 1) * 1e3:.0f} ms")
 
-on = sum(1 for e in events if e.p > 0)
+on = int((events.p > 0).sum())  # the stream is held as t, x, y, p columns
 print(f"polarity split: {on} ON / {len(events) - on} OFF")
 
 # Window the stream: window k holds frame interval k's events,
@@ -35,7 +35,7 @@ print("  ...")
 # polarity across the two nearest bins with linear weights, so the total
 # signed mass of the grid equals the signed event count.
 grid = encode_voxel_grid(windows[0], n_bins=5)
-signed = sum(e.p for e in windows[0].events)
+signed = int(windows[0].columns[3].sum())
 print(f"\nvoxel grid: shape {grid.data.shape}")
 print(f"mass conservation: grid sum {grid.data.sum():+.6f} "
       f"vs signed event count {signed:+d}")

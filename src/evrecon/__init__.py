@@ -1,7 +1,7 @@
 """Spiking-network video reconstruction from event-camera streams."""
 
 from .autodiff import Adam, Tensor, finite_difference_check, no_grad
-from .events import (Event, EventWindow, VoxelGrid, encode_voxel_grid,
+from .events import (Event, EventStream, EventWindow, VoxelGrid, encode_voxel_grid,
                      load_events, normalize_nonzero, parse_event_stream,
                      save_events, slice_temporal_bins, split_windows)
 from .model import Network, NetworkSpec, skip_connect

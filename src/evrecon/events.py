@@ -9,13 +9,16 @@ then lie on it. Polarity is stored on disk as {0, 1}; 0 maps to -1
 internally. Training and inference cut a stream by time with one rule:
 window k of d seconds holds the events with (k - 1) * d < t <= k * d, edges
 computed as k * d, and a cut's first window is closed on its left too.
+
+A stream is held as numpy columns (`EventStream`); parsing, cutting,
+voxelizing and saving read only those. `Event` objects are built, once,
+only when a caller indexes or iterates a stream or reads a window's events.
 """
 
 import gc
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -36,15 +39,99 @@ class Event(NamedTuple):
     p: int
 
 
-@dataclass
-class EventWindow:
-    """A contiguous time slice [t0, t1] of a stream, with sensor geometry."""
+class EventStream:
+    """A time-sorted event stream as four equal-length columns: t (float64
+    seconds), x and y (int64 pixels) and p (int64, +/-1).
 
-    events: list
-    t0: float
-    t1: float
-    sensor_h: int
-    sensor_w: int
+    It reads as a sequence of `Event`s: indexing, iterating or comparing it
+    builds the list of its `Event`s from the columns the first time and
+    keeps it. The windows cut from a stream hand out slices of that one
+    list, so an event is the same object in the stream and in its window.
+    """
+
+    def __init__(self, t, x, y, p):
+        self._columns = t, x, y, p
+        self._view = None    # the Event list, once built
+        self._source = None  # (stream, start) when the view is a slice of that stream's
+
+    @classmethod
+    def of(cls, events):
+        """`events` if it is a stream, else the stream of a list of `Event`s,
+        whose view is that list and whose columns are read from it when
+        first asked for."""
+        if isinstance(events, EventStream):
+            return events
+        stream = cls.__new__(cls)
+        stream._columns, stream._view, stream._source = None, events, None
+        return stream
+
+    @property
+    def columns(self):
+        """(t, x, y, p)."""
+        if self._columns is None:
+            records = np.array(self._view, dtype=_RECORD)
+            self._columns = tuple(records[name] for name in _RECORD.names)
+        return self._columns
+
+    t = property(lambda self: self.columns[0])
+    x = property(lambda self: self.columns[1])
+    y = property(lambda self: self.columns[2])
+    p = property(lambda self: self.columns[3])
+
+    def _slice(self, start, stop):
+        """Events start to stop: views of the columns, and a view that is a
+        slice of this stream's."""
+        part = EventStream(*(c[start:stop] for c in self.columns))
+        part._source = self, start
+        return part
+
+    def _events(self):
+        if self._view is None:
+            if self._source is None:
+                self._view = events_from_columns(*self.columns)
+            else:
+                stream, start = self._source
+                self._view = stream._events()[start:start + len(self)]
+                # From now on hold only this slice: views of the stream's
+                # columns would keep all of them alive after the stream.
+                self._source = self._columns = None
+        return self._view
+
+    def __len__(self):
+        return len(self._view) if self._columns is None else len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._events()[index]
+
+    def __iter__(self):
+        return iter(self._events())
+
+    def __eq__(self, other):
+        if isinstance(other, EventStream):
+            other = other._events()
+        return self._events() == other
+
+
+class EventWindow:
+    """A contiguous time slice [t0, t1] of a stream, with sensor geometry.
+
+    Its events are given as an `EventStream` (as `split_windows` cuts
+    them) or as a list of `Event`s; `events` reads them as a list of
+    `Event`s and `columns` as (t, x, y, p).
+    """
+
+    def __init__(self, events, t0, t1, sensor_h, sensor_w):
+        self.stream = EventStream.of(events)
+        self.t0, self.t1 = t0, t1
+        self.sensor_h, self.sensor_w = sensor_h, sensor_w
+
+    @property
+    def events(self):
+        return self.stream._events()
+
+    @property
+    def columns(self):
+        return self.stream.columns
 
 
 @dataclass
@@ -61,8 +148,8 @@ _RECORD = np.dtype([("t", np.float64), ("x", np.int64), ("y", np.int64), ("p", n
 
 
 def parse_event_stream(text):
-    """Parse the "t x y p" lines of a string or UTF-8 bytes into events; p
-    on disk is {0, 1}.
+    """Parse the "t x y p" lines of a string or UTF-8 bytes into an
+    `EventStream`; p on disk is {0, 1}.
 
     Raises ParseError naming the 1-based line of the first bad record (a
     byte that is not UTF-8, a wrong field count, a bad number, a polarity
@@ -74,7 +161,7 @@ def parse_event_stream(text):
 
 
 def load_events(path):
-    """Read an event file; returns (events, sensor size or None).
+    """Read an event file; returns (EventStream, sensor size or None).
 
     A rejected file raises ParseError naming the file and the line.
     """
@@ -127,7 +214,7 @@ def _check_sensor(h, w, error, **where):
 
 
 def _parse(lines):
-    """(events, sensor size or None) of the lines of an event file.
+    """(EventStream, sensor size or None) of the lines of an event file.
 
     One bulk pass: numpy reads every record in one call, skipping comments
     and blank lines itself, and the columns are checked. Only a rejected
@@ -141,22 +228,29 @@ def _parse(lines):
     if records is None or _first_rejection(records, sensor) is not None:
         _reject(lines, records, sensor)
     t, x, y, p = (records[name] for name in _RECORD.names)
-    return events_from_columns(t, x, y, np.where(p == 1, 1, -1)), sensor
+    # contiguous columns, so that the stream does not hold the records
+    return EventStream(t.copy(), x.copy(), y.copy(), np.where(p == 1, 1, -1)), sensor
+
+
+_CHUNK = 1 << 16  # events built from one slice of the columns
 
 
 def events_from_columns(t, x, y, p):
     """The `Event` list of equal-length t, x, y and p (+/-1) arrays, with
     Python numbers in every field."""
-    columns = t.tolist(), x.tolist(), y.tolist(), p.tolist()
     # Events hold only numbers and form no reference cycles, so a garbage
     # collection while they are built scans every one of them and frees
     # nothing; for a million events that was three quarters of the build time.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # tuple.__new__ builds each Event in C, skipping NamedTuple's
-        # Python-level __new__
-        return list(map(tuple.__new__, repeat(Event), zip(*columns)))
+        events = []
+        for start in range(0, len(t), _CHUNK):
+            columns = (c[start:start + _CHUNK].tolist() for c in (t, x, y, p))
+            # tuple.__new__ builds each Event in C, skipping NamedTuple's
+            # Python-level __new__
+            events += map(tuple.__new__, repeat(Event), zip(*columns))
+        return events
     finally:
         if collecting:
             gc.enable()
@@ -229,16 +323,19 @@ def _first_unreadable(lines):
 
 
 def save_events(path, events, sensor_h, sensor_w):
-    """Write events in the on-disk format (p as {0, 1}, t in its shortest
-    form that reads back bitwise) under a "# sensor_h sensor_w" size header."""
+    """Write a stream or a list of `Event`s in the on-disk format (p as
+    {0, 1}, t in its shortest form that reads back bitwise) under a
+    "# sensor_h sensor_w" size header."""
+    t, x, y, p = EventStream.of(events).columns
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {sensor_h} {sensor_w}\n")
-        for ev in events:
-            fh.write(f"{ev.t} {ev.x} {ev.y} {1 if ev.p > 0 else 0}\n")
+        fh.writelines(map("{} {} {} {}\n".format, t.tolist(), x.tolist(), y.tolist(),
+                          (p > 0).astype(np.int64).tolist()))
 
 
 def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
-    """Split a sorted stream into contiguous windows, slices of `events`.
+    """Split a sorted stream (an `EventStream` or a list of `Event`s) into
+    contiguous windows, whose events are slices of `events`.
 
     Exactly one of `duration` (seconds) or `count` (events) must be given.
     A cut by duration runs from the window holding the first event, on its
@@ -253,19 +350,23 @@ def split_windows(events, sensor_h, sensor_w, duration=None, count=None):
         raise ConfigError(f"window duration must be positive and finite, got {duration}")
     if count is not None and count < 1:
         raise ConfigError(f"window count must be >= 1, got {count}")
-    if not events:
+    stream = EventStream.of(events)
+    n = len(stream)
+    if not n:
         return []
     if count is not None:
-        chunks = (events[start:start + count] for start in range(0, len(events), count))
-        return [EventWindow(c, c[0].t, c[-1].t, sensor_h, sensor_w) for c in chunks]
-    t_first, t_last = events[0].t, events[-1].t
+        t = stream.t
+        return [EventWindow(stream._slice(a, a + count), t[a].item(),
+                            t[min(a + count, n) - 1].item(), sensor_h, sensor_w)
+                for a in range(0, n, count)]
+    t_first, t_last = stream.t[0].item(), stream.t[-1].item()
     k = _window_of(t_first, duration)
     first = k + (k * duration == t_first)  # t_first on edge k * d opens window k + 1
     last = max(first, _window_of(t_last, duration))
     if not last - first < MAX_SCENE_STEPS:  # also an infinite t / duration
         raise ConfigError(f"window duration {duration} s cuts the stream's span, {t_first} "
                           f"to {t_last} s, into more than {MAX_SCENE_STEPS} windows")
-    return _duration_windows(events, duration, int(first), int(last), sensor_h, sensor_w)
+    return _duration_windows(stream, duration, int(first), int(last), sensor_h, sensor_w)
 
 
 def _window_of(t, d):
@@ -275,11 +376,15 @@ def _window_of(t, d):
 
 
 def _duration_windows(events, d, first, last, sensor_h, sensor_w):
-    """Windows `first` to `last` of a sorted stream, by the module's rule."""
+    """Windows `first` to `last` of a sorted stream, by the module's rule:
+    one search of the t column finds every right edge."""
+    stream = EventStream.of(events)
     edges = [k * d for k in range(first - 1, last + 1)]
-    ends = [bisect_left(events, edges[0], key=itemgetter(0))]
-    ends += [bisect_right(events, edge, key=itemgetter(0)) for edge in edges[1:]]
-    return [EventWindow(events[a:b], t0, t1, sensor_h, sensor_w)
+    t = stream.t
+    ends = np.searchsorted(t, edges, side="right")
+    ends[0] = np.searchsorted(t, edges[0], side="left")  # the closed left edge
+    ends = ends.tolist()
+    return [EventWindow(stream._slice(a, b), t0, t1, sensor_h, sensor_w)
             for a, b, t0, t1 in zip(ends, ends[1:], edges, edges[1:])]
 
 
@@ -294,16 +399,14 @@ def encode_voxel_grid(window, n_bins):
     h, w = window.sensor_h, window.sensor_w
     if n_bins * h * w * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
         raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
-    n = len(window.events)
-    t, x, y, p = np.fromiter(chain.from_iterable(window.events), np.float64,
-                             4 * n).reshape(n, 4).T
-    x, y = x.astype(np.intp), y.astype(np.intp)
+    t, x, y, p = window.columns
+    n = len(t)
     outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
     if outside.any():
         i = int(outside.argmax())
-        ev = window.events[i]
-        raise ParseError(f"event {i} at (x, y) = ({ev.x}, {ev.y}) lies outside "
+        raise ParseError(f"event {i} at (x, y) = ({x[i]}, {y[i]}) lies outside "
                          f"the {h}x{w} sensor")
+    x, y = x.astype(np.intp), y.astype(np.intp)
 
     span = window.t1 - window.t0
     t_star = (n_bins - 1) * (t - window.t0) / span if span > 0 and n_bins > 1 else np.zeros(n)

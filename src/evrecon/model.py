@@ -176,10 +176,12 @@ class ConvStage:
     with `potential`, an MP/AMP potential neuron."""
 
     def __init__(self, geom, spec, rng):
+        """`rng` draws the conv and AMP weights; None leaves them zero, for
+        a checkpoint to fill."""
         self.geom = geom
         k, cout = geom.kernel, geom.cout
-        scale = 1.0 / np.sqrt(geom.cin * k * k)
-        self.w = Tensor(rng.uniform(-scale, scale, (cout, geom.cin, k, k)),
+        shape, scale = (cout, geom.cin, k, k), 1.0 / np.sqrt(geom.cin * k * k)
+        self.w = Tensor(np.zeros(shape) if rng is None else rng.uniform(-scale, scale, shape),
                         requires_grad=True)
         self.b = Tensor(np.zeros(cout), requires_grad=True)
         self.has_bn = geom.role != "pred"
@@ -247,8 +249,12 @@ class Network:
     """A built reconstruction network with per-layer recurrent state."""
 
     def __init__(self, spec, seed=0):
+        self._build(spec, np.random.default_rng(seed))
+
+    def _build(self, spec, rng):
+        """Build the stages of `spec`, drawing their weights from `rng` (None:
+        zero weights)."""
         self.spec = spec
-        rng = np.random.default_rng(seed)
         self.training = False
         hp, wp = spec.padded_size()
         self._pad = (hp - spec.height, wp - spec.width)
@@ -392,7 +398,8 @@ class Network:
         tensors, meta = ckpt.load_tensors(path)
         if not isinstance(meta, dict) or "spec" not in meta:
             raise ContractError(f"{path}: checkpoint has no embedded network spec")
-        net = cls(config_from_dict(NetworkSpec, meta["spec"], f"{path}: spec"))
+        net = cls.__new__(cls)  # every tensor is overwritten below: draw no weights
+        net._build(config_from_dict(NetworkSpec, meta["spec"], f"{path}: spec"), None)
         for stage in net.stages:
             # a stage saved after fold_bn() has no batch-norm tensors
             stage.has_bn = stage.has_bn and f"{stage.name}.gamma" in tensors

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, bounded, check_fields, echo
-from .events import MAX_SCENE_STEPS, MAX_SENSOR_SIDE, events_from_columns
+from .events import MAX_SCENE_STEPS, MAX_SENSOR_SIDE, EventStream
 
 LOG_EPS = 1e-3
 
@@ -86,7 +86,7 @@ def generate_events(scene):
     Per pixel, one event of polarity sign(delta) is emitted each time the
     accumulated log-intensity change since the pixel's last event crosses
     the contrast threshold; timestamps are interpolated linearly inside the
-    step. Returns (events sorted by time, frames, flows).
+    step. Returns (an EventStream sorted by time, frames, flows).
     """
     frames, flows = scene_frames(scene)
     c = scene.contrast
@@ -110,10 +110,9 @@ def generate_events(scene):
         p.append(np.where(d > 0, 1, -1))
         ref += np.sign(delta) * n_cross * c
     if not t:
-        return [], frames, flows
+        return EventStream.of([]), frames, flows
     order = np.argsort(np.concatenate(t), kind="stable")
-    events = events_from_columns(*(np.concatenate(col)[order] for col in (t, x, y, p)))
-    return events, frames, flows
+    return EventStream(*(np.concatenate(col)[order] for col in (t, x, y, p))), frames, flows
 
 
 def _check_shifts(owner, name, shifts):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from evrecon import cli, quality
+from evrecon import events as events_module
 from evrecon.checkpoint import load_tensors
 from evrecon.cli import main, read_pgm, write_pgm
 from evrecon.errors import ParseError, config_from_dict
 from evrecon.model import Network, NetworkSpec
-from evrecon.synthetic import SceneConfig, SyntheticScene
+from evrecon.synthetic import SceneConfig, SyntheticScene, random_scene
 from evrecon.training import scene_to_bins
 
 SIM_CONFIG = {"height": 16, "width": 16, "steps": 6, "contrast": 0.1}
@@ -669,6 +670,37 @@ class TestGradcheck:
         assert "upsample_conv" in out
         assert "conv_stride2" in out and "conv_narrow" in out
         assert "batch_norm_train" in out and "plif_3step" in out
+
+
+class TestNoEventObjects:
+    """The commands read the event columns only: each runs with the builder
+    of `Event` objects made to fail."""
+
+    @pytest.fixture(autouse=True)
+    def no_event_objects(self, monkeypatch):
+        def refuse(*columns):
+            raise AssertionError("a program path built Event objects")
+        monkeypatch.setattr(events_module, "events_from_columns", refuse)
+
+    def test_simulate_and_voxelize(self, tmp_path):
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(SIM_CONFIG))
+        assert main(["--seed", "5", "simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        for window in (["--window-ms", "10"], ["--window-count", "50"]):
+            assert main(["voxelize", "--events", str(tmp_path / "events.txt"), "--bins", "3",
+                         "--out", str(tmp_path / "grids.spkt"), *window]) == 0
+
+    def test_reconstruct_probe_and_profile(self, sim_dir, trained_dir, tmp_path):
+        common = ["--checkpoint", str(trained_dir / "checkpoint.spkt"),
+                  "--events", str(sim_dir / "events.txt"), "--out", str(tmp_path),
+                  "--bins", "2", "--window-ms", "10"]
+        assert main(["reconstruct", *common]) == 0
+        assert main(["probe", *common, "--cutoff", "3", "--gt", str(sim_dir)]) == 0
+        assert main(["profile", *common]) == 0
+
+    def test_training_bins(self):
+        bins, _, _ = scene_to_bins(random_scene(16, 16, 5, np.random.default_rng(0)), 3)
+        assert len(bins) == 12 and any(b.any() for b in bins)
 
 
 class TestSeed:

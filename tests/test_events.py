@@ -1,4 +1,8 @@
+import gc
 import math
+import tracemalloc
+import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -7,9 +11,10 @@ from hypothesis import strategies as st
 
 from evrecon import events as events_module
 from evrecon.errors import ConfigError, OrderingError, ParseError
-from evrecon.events import (MAX_SCENE_STEPS, Event, EventWindow, encode_voxel_grid, load_events,
-                            normalize_nonzero, parse_event_stream, save_events,
-                            slice_temporal_bins, split_windows)
+from evrecon.events import (MAX_SCENE_STEPS, Event, EventStream, EventWindow, VoxelGrid,
+                            encode_voxel_grid, load_events, normalize_nonzero,
+                            parse_event_stream, save_events, slice_temporal_bins,
+                            split_windows)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -133,6 +138,45 @@ def assert_tiles(events, windows, duration):
     assert all(a.t1 == b.t0 for a, b in zip(windows, windows[1:]))
 
 
+def oracle_save_events(path, events, sensor_h, sensor_w):
+    """The per-event writer `save_events` replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {sensor_h} {sensor_w}\n")
+        for ev in events:
+            fh.write(f"{ev.t} {ev.x} {ev.y} {1 if ev.p > 0 else 0}\n")
+
+
+def oracle_fromiter_voxel_grid(window, n_bins):
+    """The voxelizer that read a window's `Event`s in one `np.fromiter` pass
+    before the one-bincount deposit, kept as the reference for the deposit
+    from the stream's columns."""
+    h, w = window.sensor_h, window.sensor_w
+    n = len(window.events)
+    t, x, y, p = np.fromiter(chain.from_iterable(window.events), np.float64,
+                             4 * n).reshape(n, 4).T
+    x, y = x.astype(np.intp), y.astype(np.intp)
+    span = window.t1 - window.t0
+    t_star = (n_bins - 1) * (t - window.t0) / span if span > 0 and n_bins > 1 else np.zeros(n)
+    lo = np.floor(t_star)
+    frac = t_star - lo
+    lo = np.clip(lo, -2, n_bins).astype(np.intp)
+    bins = np.concatenate([lo, lo + 1])
+    weights = np.concatenate([p * (1.0 - frac), p * frac])
+    ok = (bins >= 0) & (bins < n_bins)
+    cells = bins[ok] * (h * w) + np.tile(y * w + x, 2)[ok]
+    grid = np.bincount(cells, weights[ok], minlength=n_bins * h * w)
+    return VoxelGrid(grid.astype(np.float64, copy=False).reshape(n_bins, h, w),
+                     window.t0, window.t1)
+
+
+@pytest.fixture
+def no_event_objects(monkeypatch):
+    """Make the builder of `Event` objects fail."""
+    def refuse(*columns):
+        raise AssertionError("Event objects were built")
+    monkeypatch.setattr(events_module, "events_from_columns", refuse)
+
+
 class TestParsing:
     def test_basic_lines(self):
         events = parse_event_stream("\n".join(["0.1 3 4 1", "0.2 5 6 0"]))
@@ -198,7 +242,7 @@ class TestParsing:
         events = events_module.events_from_columns(*columns)
         assert events == list(map(Event, *(c.tolist() for c in columns)))
         assert parsed == oracle_parse_event_stream(text) and len(events) == 4
-        assert all(type(ev) is Event for ev in events + parsed)
+        assert all(type(ev) is Event for ev in events + list(parsed))
         assert all(type(v) is f for ev in events for v, f in zip(ev, (float, int, int, int)))
 
     @pytest.mark.parametrize("text,line,error", [
@@ -427,6 +471,108 @@ class TestParsingProperties:
             return
         # whatever the bulk parser accepts, the per-line oracle read the same way
         assert events == oracle_parse_event_stream(data)
+
+
+class TestEventStream:
+    def test_reads_as_a_cached_sequence_of_events(self):
+        stream = parse_event_stream("0.1 3 4 1\n0.25 0 9 0\n")
+        assert len(stream) == 2 and stream.t.dtype == np.float64
+        assert [c.tolist() for c in stream.columns] == [[0.1, 0.25], [3, 0], [4, 9], [1, -1]]
+        assert stream == [Event(0.1, 3, 4, 1), Event(0.25, 0, 9, -1)]
+        assert stream[0] is stream[0] and list(stream)[1] is stream[1]
+        assert stream[:1] == [Event(0.1, 3, 4, 1)] and stream != stream[:1]
+
+    def test_a_list_is_its_own_view(self):
+        events = make_events([0.1, 0.2])
+        stream = EventStream.of(events)
+        assert EventStream.of(stream) is stream
+        assert stream[0] is events[0] and stream.t.tolist() == [0.1, 0.2]
+
+    def test_saved_bytes_equal_the_per_event_writer(self, tmp_path, no_event_objects):
+        times = [-0.7, 1e-300, 2.5e-7, 0.0104, 0.1 + 0.2, 1 / 3, 1.6e9 + 0.123456789]
+        text = "".join(f"{t!r} {i} {2 * i} {i % 2}\n" for i, t in enumerate(times))
+        stream = parse_event_stream(text)
+        save_events(tmp_path / "got.txt", stream, 20, 30)
+        events = [Event(t, i, 2 * i, 1 if i % 2 else -1) for i, t in enumerate(times)]
+        save_events(tmp_path / "list.txt", events, 20, 30)
+        oracle_save_events(tmp_path / "want.txt", events, 20, 30)
+        want = (tmp_path / "want.txt").read_bytes()
+        assert (tmp_path / "got.txt").read_bytes() == want
+        assert (tmp_path / "list.txt").read_bytes() == want
+
+    def test_out_of_sensor_refusal_builds_no_events(self, no_event_objects):
+        stream = parse_event_stream("0.1 3 1 1\n0.2 0 0 0\n0.3 700 9 1\n")
+        (window,) = split_windows(stream, 2, 4, duration=1.0)
+        with pytest.raises(ParseError, match=r"^event 2 at \(x, y\) = \(700, 9\) lies outside "
+                                             r"the 2x4 sensor$"):
+            encode_voxel_grid(window, 2)
+
+    def test_a_window_frees_its_stream_once_it_has_its_events(self):
+        n = 100_000
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.random(n))
+        stream = EventStream(t, rng.integers(0, 9, n), rng.integers(0, 9, n),
+                             rng.choice([-1, 1], n))
+        windows = split_windows(stream, 9, 9, duration=0.1)
+        window = windows[3]
+        grid = encode_voxel_grid(window, 3).data
+        tracemalloc.start()
+        try:
+            events = window.events  # builds the stream's view, 100k Events
+            assert events[0] is stream[len(windows[0].events) + len(windows[1].events)
+                                       + len(windows[2].events)]
+            with_view = tracemalloc.get_traced_memory()[0]
+            refs = weakref.ref(stream), weakref.ref(t)
+            del stream, windows, t
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(ref() is None for ref in refs)
+        # the window keeps its ~10k events, a tenth of the view
+        assert held < 0.2 * with_view, f"{held} of {with_view} bytes held"
+        assert window.events is events and len(events) == window.columns[0].size
+        assert encode_voxel_grid(window, 3).data.tobytes() == grid.tobytes()
+
+
+@st.composite
+def column_streams(draw):
+    """(stream, duration): sorted columns whose timestamps include window
+    edges computed as `split_windows` does, on sensors up to 9x9."""
+    duration = draw(st.sampled_from([0.1, 0.01, 1 / 3, 0.25]) | st.floats(1e-3, 2.0))
+    k0 = draw(st.integers(-50, 50))
+    n_windows = draw(st.integers(1, 6))
+    edges = [k * duration for k in range(k0, k0 + n_windows + 1)]
+    times = st.sampled_from(edges) | st.floats(edges[0], edges[-1])
+    ts = sorted(draw(st.lists(times, min_size=1, max_size=60)))
+    n = len(ts)
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    xs = draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
+    ps = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return (EventStream(np.array(ts), np.array(xs, np.int64), np.array(ys, np.int64),
+                        np.array(ps, np.int64)), h, w, duration)
+
+
+class TestStreamWindowsProperties:
+    @PROPERTY
+    @given(column_streams(), st.sampled_from([1, 2, 5]))
+    def test_grids_equal_event_list_windows_bitwise(self, case, n_bins):
+        stream, h, w, duration = case
+        with pytest.MonkeyPatch.context() as patch:  # the stream path builds no Event
+            patch.setattr(events_module, "events_from_columns", None)
+            windows = split_windows(stream, h, w, duration=duration)
+            grids = [encode_voxel_grid(win, n_bins).data for win in windows]
+        t, x, y, p = (c.tolist() for c in stream.columns)
+        for win, got in zip(windows, grids):
+            # the window's events, built by hand from the columns' values
+            inside = [i for i in range(len(t)) if win.t0 < t[i] <= win.t1
+                      or win is windows[0] and t[i] == win.t0]
+            hand = EventWindow([Event(t[i], x[i], y[i], p[i]) for i in inside],
+                               win.t0, win.t1, h, w)
+            assert got.tobytes() == encode_voxel_grid(hand, n_bins).data.tobytes()
+            assert got.tobytes() == oracle_fromiter_voxel_grid(hand, n_bins).data.tobytes()
+        assert sum(len(win.events) for win in windows) == len(stream)
 
 
 class TestWindowingProperties:
