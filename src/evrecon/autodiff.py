@@ -30,11 +30,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled():
-    """False inside `no_grad`, where ops record no tape nodes."""
-    return _grad_enabled
-
-
 def _consumed(grad):
     """The backward closure of a node that a backward already swept."""
     raise ContractError("backward() through a graph a backward already consumed")
@@ -176,13 +171,19 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents):
+    """Whether an op on `parents` records a tape node: outside `no_grad`, when
+    a parent requires gradients. Fused ops ask before saving backward arrays."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_op(data, parents, bw):
-    """Build an op result; records the backward closure if grads are live.
+    """Build an op result; records the backward closure if `_recording(parents)`.
 
     `bw(out_grad)` must return one gradient (array or None) per parent.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._bw = bw
@@ -276,13 +277,7 @@ def tsum(a, axis=None, keepdims=False):
 
 def tmean(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.data.shape[ax]
+    n = a.data.size if axis is None else np.prod(np.take(a.data.shape, axis))
     return div(tsum(a, axis=axis, keepdims=keepdims), n)
 
 
@@ -670,7 +665,7 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     gshape = (1, c, 1, 1)
     axes = (0, 2, 3)
     cnt = n * h * w
-    record = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    record = _recording((x, gamma, beta))
     if training:
         mu = x.data.sum(axis=axes, keepdims=True) / cnt
         xhat = np.subtract(x.data, mu)

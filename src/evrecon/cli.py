@@ -18,8 +18,7 @@ from . import checkpoint as ckpt
 from . import energy as energy_mod
 from . import quality
 from .errors import ConfigError, EvreconError, ParseError, config_from_dict
-from .events import (encode_voxel_grid, load_events, normalize_nonzero,
-                     save_events, slice_temporal_bins, split_windows)
+from .events import encode_voxel_grid, load_events, save_events, split_windows, window_bins
 from .model import Network, NetworkSpec, spike_rate
 from .neurons import NeuronConfig, SpikingLayer, lif_step, mp_step, surrogate_grad
 from .synthetic import SceneConfig, SyntheticScene, generate_events
@@ -78,7 +77,7 @@ def _network_windows(args, spec):
     """(window, its normalized bins) of each window of `--events` for a network
     of `spec`; a file without a size header is taken to be the spec's size."""
     events, sensor = load_events(args.events)
-    return [(window, slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, args.bins))))
+    return [(window, window_bins(window, args.bins))
             for window in _windows(events, sensor or (spec.height, spec.width), args)]
 
 

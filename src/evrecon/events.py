@@ -69,8 +69,7 @@ class EventStream:
     def columns(self):
         """(t, x, y, p)."""
         if self._columns is None:
-            records = np.array(self._view, dtype=_RECORD)
-            self._columns = tuple(records[name] for name in _RECORD.names)
+            self._columns = _record_columns(np.array(self._view, dtype=_RECORD))
         return self._columns
 
     t = property(lambda self: self.columns[0])
@@ -145,6 +144,12 @@ class VoxelGrid:
 
 # the columns of one record
 _RECORD = np.dtype([("t", np.float64), ("x", np.int64), ("y", np.int64), ("p", np.int64)])
+_record_columns = itemgetter(*_RECORD.names)  # the (t, x, y, p) views of a record array
+
+
+def _off_sensor(x, y, h, w):
+    """Which events of the x and y columns lie off an h x w sensor."""
+    return (x < 0) | (x >= w) | (y < 0) | (y >= h)
 
 
 def parse_event_stream(text):
@@ -222,12 +227,12 @@ def _parse(lines):
     """
     sensor = _sensor_size(lines)
     try:
-        records = _records(lines)
+        columns = _records(lines)
     except ValueError:
-        records = None
-    if records is None or _first_rejection(records, sensor) is not None:
-        _reject(lines, records, sensor)
-    t, x, y, p = (records[name] for name in _RECORD.names)
+        columns = None
+    if columns is None or _first_rejection(columns, sensor) is not None:
+        _reject(lines, columns, sensor)
+    t, x, y, p = columns
     # contiguous columns, so that the stream does not hold the records
     return EventStream(t.copy(), x.copy(), y.copy(), np.where(p == 1, 1, -1)), sensor
 
@@ -256,10 +261,10 @@ def events_from_columns(t, x, y, p):
             gc.enable()
 
 
-def _first_rejection(records, sensor):
-    """(index, error type, message) of the first record a column check
-    rejects, or None."""
-    t, x, y, p = (records[name] for name in _RECORD.names)
+def _first_rejection(columns, sensor):
+    """(index, error type, message) of the first record a check of its
+    (t, x, y, p) columns rejects, or None."""
+    t, x, y, p = columns
     checks = [  # (rejected records, error type, message); on one record the first wins
         (~np.isin(p, (0, 1, -1)), ParseError, "polarity must be 0/1 (or -1), got {p}"),
         (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
@@ -267,7 +272,7 @@ def _first_rejection(records, sensor):
     ]
     if sensor is not None:
         h, w = sensor
-        checks.append(((x < 0) | (x >= w) | (y < 0) | (y >= h), ParseError,
+        checks.append((_off_sensor(x, y, h, w), ParseError,
                        f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} "
                        "sensor of the header"))
     rejected = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks) if mask.any()]
@@ -278,18 +283,18 @@ def _first_rejection(records, sensor):
     return i, error, message.format(t=t[i], t_prev=t[i - 1], x=x[i], y=y[i], p=p[i])
 
 
-def _reject(lines, records, sensor):
+def _reject(lines, columns, sensor):
     """Raise ParseError for the earliest bad line of a rejected file, given
-    its records, or None if some line is not a record."""
+    the columns of its records, or None if some line is not a record."""
     # every line without its comment and surrounding whitespace
     text = list(map(str.strip, map(itemgetter(0), map(str.partition, lines, repeat("#")))))
     lineno = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
     content = list(filter(None, text))
     bad = len(content)
-    if records is None:
+    if columns is None:
         bad = _first_unreadable(content)
-        records = _records(content[:bad])
-    rejection = _first_rejection(records, sensor)
+        columns = _records(content[:bad])
+    rejection = _first_rejection(columns, sensor)
     if rejection is not None:
         i, error, message = rejection
         raise error(message, line=int(lineno[i]))
@@ -304,7 +309,7 @@ def _records(lines):
     comments and blank lines; ValueError if any other line is not a record."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy warns when no line is a record
-        return np.loadtxt(lines, dtype=_RECORD, comments="#", ndmin=1)
+        return _record_columns(np.loadtxt(lines, dtype=_RECORD, comments="#", ndmin=1))
 
 
 def _first_unreadable(lines):
@@ -401,7 +406,7 @@ def encode_voxel_grid(window, n_bins):
         raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
     t, x, y, p = window.columns
     n = len(t)
-    outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
+    outside = _off_sensor(x, y, h, w)
     if outside.any():
         i = int(outside.argmax())
         raise ParseError(f"event {i} at (x, y) = ({x[i]}, {y[i]}) lies outside "
@@ -434,13 +439,16 @@ def normalize_nonzero(grid):
     if mask.any():
         vals = data[mask]
         std = vals.std()
-        if std > 0:
-            data[mask] = (vals - vals.mean()) / std
-        else:
-            data[mask] = 0.0
+        data[mask] = (vals - vals.mean()) / std if std > 0 else 0.0
     return VoxelGrid(data, grid.t0, grid.t1)
 
 
 def slice_temporal_bins(grid):
     """Ordered list of the B single-channel H x W planes."""
     return [plane.copy() for plane in grid.data]
+
+
+def window_bins(window, n_bins):
+    """A window's network input, the one rule training and inference share:
+    the `n_bins` planes of its voxel grid, nonzero-normalized, in time order."""
+    return slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, n_bins)))

@@ -128,14 +128,13 @@ class StageGeometry:
     """One row of the stage table."""
 
     name: str     # head, down{i}, res{r}-{1,2}, up{j} or pred
-    role: str     # head, down, res, up or pred
+    role: str     # head, down, res, up (its conv reads the 2x upsampled input) or pred
     kernel: int
     stride: int
     cin: int
     cout: int
     h_out: int
     w_out: int
-    upsample: bool = False   # nearest 2x upsample before the conv
     potential: bool = False  # carries an MP/AMP potential neuron
 
 
@@ -163,8 +162,7 @@ def stage_table(spec):
         h, w = h * 2, w * 2
         cout = nc * 2 ** (spec.n_encoders - j)
         rows.append(StageGeometry(f"up{j}", "up", spec.decoder_kernel, 1,
-                                  2 * cout * skip_factor, cout, h, w,
-                                  upsample=True, potential=pa))
+                                  2 * cout * skip_factor, cout, h, w, potential=pa))
     rows.append(StageGeometry("pred", "pred", spec.prediction_kernel, 1, nc, 1, hp, wp))
     return rows
 
@@ -202,7 +200,7 @@ class ConvStage:
 
     def forward(self, x, training):
         """Conv + batch norm."""
-        if self.geom.upsample:
+        if self.geom.role == "up":
             u = ad.upsample2x_conv2d(x, self.w, self.b)
         else:
             u = ad.conv2d(x, self.w, self.b, stride=self.geom.stride,

@@ -81,7 +81,7 @@ def _charge_fire_reset(v_prev, x, inv, cfg):
     plif = isinstance(inv, Tensor)
     parents = (v_prev, x, inv) if plif else (v_prev, x)
     a = inv.data if plif else inv
-    record = ad.grad_enabled() and any(p.requires_grad for p in parents)
+    record = ad._recording(parents)
     v = v_prev.data
     drive = None
     if a is None:

@@ -18,8 +18,7 @@ from . import autodiff as ad
 from . import quality
 from .autodiff import Tensor
 from .errors import ConfigError, DivergenceError, ShapeError, bounded, check_fields
-from .events import (_duration_windows, encode_voxel_grid, normalize_nonzero,
-                     slice_temporal_bins)
+from .events import _duration_windows, window_bins
 from .model import spike_rate
 from .synthetic import generate_events
 
@@ -108,8 +107,7 @@ def scene_to_bins(scene, n_bins=1):
     windows = _duration_windows(events, scene.dt, 1, len(frames) - 1, *scene.texture.shape)
     bins, gts, step_flows = [], [], []
     for s, window in enumerate(windows, start=1):
-        grid = normalize_nonzero(encode_voxel_grid(window, n_bins))
-        bins += slice_temporal_bins(grid)
+        bins += window_bins(window, n_bins)
         gts += [frames[s]] * n_bins
         step_flows += [flows[s]] + [(0, 0)] * (n_bins - 1)
     return bins, gts, step_flows

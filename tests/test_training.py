@@ -7,7 +7,7 @@ from evrecon import training
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
 from evrecon.events import (Event, EventWindow, encode_voxel_grid, normalize_nonzero,
-                            slice_temporal_bins, split_windows)
+                            slice_temporal_bins, split_windows, window_bins)
 from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import SyntheticScene, generate_events, random_scene, scene_frames
 from evrecon.quality import score
@@ -248,8 +248,8 @@ class TestSceneToBinsOracle:
         monkeypatch.setattr(training, "generate_events",
                             lambda sc: (stream,) + generate_events(sc)[1:])
         windows = []
-        monkeypatch.setattr(training, "encode_voxel_grid",
-                            lambda w, n: windows.append(w) or encode_voxel_grid(w, n))
+        monkeypatch.setattr(training, "window_bins",
+                            lambda w, n: windows.append(w) or window_bins(w, n))
         scene_to_bins(scene)
         assert [[ev.t for ev in w.events] for w in windows] == [
             [0.0, dt, dt], [2 * dt], [2.5 * dt, 3 * dt]]
@@ -259,8 +259,8 @@ class TestSceneToBinsOracle:
         # put 25 of the criterion-3 scene's 57,941 events in another window
         scene = random_scene(32, 32, 41, np.random.default_rng(42), contrast=0.1)
         trained = []
-        monkeypatch.setattr(training, "encode_voxel_grid",
-                            lambda w, n: trained.append(w) or encode_voxel_grid(w, n))
+        monkeypatch.setattr(training, "window_bins",
+                            lambda w, n: trained.append(w) or window_bins(w, n))
         scene_to_bins(scene)
         cut = split_windows(generate_events(scene)[0], 32, 32, duration=scene.dt)
         per_event = [[i for i, w in enumerate(windows) for _ in w.events]
