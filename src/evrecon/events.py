@@ -1,12 +1,24 @@
-"""Event stream parsing, windowing, and continuous voxel-grid encoding.
+r"""Event stream parsing, windowing, and continuous voxel-grid encoding.
 
 Event files are UTF-8 text with one "t x y p" record per line: a decimal
 timestamp in seconds, then the pixel column x, the pixel row y and the
-polarity as int64 decimal integers, separated by whitespace. '#' starts a
-comment, and blank lines are skipped. An optional leading "# H W" header
-declares the sensor size (each side 1 to 65535), and every event must
-then lie on it. Polarity is stored on disk as {0, 1}; 0 maps to -1
-internally. Training and inference cut a stream by time with one rule:
+polarity as int64 decimal integers, separated by whitespace. A line ends
+at "\n", "\r\n" or "\r", as numpy's text reader ends it; every other
+character that `str.splitlines` breaks on ("\x0b", "\x0c", "\x1c" to
+"\x1e", "\x85", "\u2028", "\u2029") is whitespace inside a line. '#'
+starts a comment, and blank lines are skipped. An optional leading "# H W"
+header declares the sensor size (each side 1 to 65535), and every event
+must then lie on it. Polarity is stored on disk as {0, 1}; 0 maps to -1
+internally.
+
+Text is read by one of two routes, which accept and reject the same
+records. `load_events` hands numpy the path of a regular file, and numpy's
+C reader parses it in chunks; `parse_event_stream`, and `load_events` for
+a FIFO or a compressed-suffix name, split the text into lines first. A
+rejected file is split into lines in either case, to name its first bad
+line.
+
+Training and inference cut a stream by time with one rule:
 window k of d seconds holds the events with (k - 1) * d < t <= k * d, edges
 computed as k * d, and a cut's first window is closed on its left too.
 
@@ -16,6 +28,8 @@ only when a caller indexes or iterates a stream or reads a window's events.
 """
 
 import gc
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -154,7 +168,8 @@ def _off_sensor(x, y, h, w):
 
 def parse_event_stream(text):
     """Parse the "t x y p" lines of a string or UTF-8 bytes into an
-    `EventStream`; p on disk is {0, 1}.
+    `EventStream`; p on disk is {0, 1}. The text is split into lines by the
+    module's line rule, and numpy reads the list.
 
     Raises ParseError naming the 1-based line of the first bad record (a
     byte that is not UTF-8, a wrong field count, a bad number, a polarity
@@ -165,23 +180,63 @@ def parse_event_stream(text):
     return _parse(_lines(text))[0]
 
 
+# names numpy's file opener would decompress rather than read as text
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def load_events(path):
     """Read an event file; returns (EventStream, sensor size or None).
 
-    A rejected file raises ParseError naming the file and the line.
+    A regular file is read without splitting it into Python lines: its
+    header from its first non-blank line, and its records by numpy's
+    chunked C reader, given the file's absolute path. Only a rejected file
+    is split, to name its first bad line. A FIFO or other special file,
+    and a name that numpy would decompress (.gz, .bz2, .xz, .lzma), is
+    read as bytes and parsed as `parse_event_stream` parses them. A
+    rejected file raises ParseError naming the file and the line.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        try:
+            return _load(fh)
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+
+def _load(fh):
+    """(EventStream, sensor size or None) of an event file open in binary."""
+    name = fh.name
+    if (not isinstance(name, str) or name.endswith(_COMPRESSED)
+            or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        return _parse(_lines(fh.read()))
     try:
-        return _parse(_lines(raw))
-    except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        sensor = _sensor_size(_file_lines(fh))
+        # numpy opens a path itself; an absolute one, of a file that is
+        # open and regular, names no URL and no other file
+        columns = _records(os.path.abspath(name))
+    except ValueError:  # not UTF-8, or some line is not a record
+        columns = None
+    if columns is None or _first_rejection(columns, sensor) is not None:
+        fh.seek(0)
+        return _parse(_lines(fh.read()))  # names the first bad line
+    return _stream(columns), sensor
 
 
 def _lines(text):
-    """The lines of a string or of UTF-8 bytes."""
-    return (_decode(text) if isinstance(text, bytes) else text).splitlines()
+    r"""The lines of a string or of UTF-8 bytes. A line ends at "\n",
+    "\r\n" or "\r"; a break that ends the text opens no further line."""
+    text = _decode(text) if isinstance(text, bytes) else text
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _file_lines(fh):
+    """The lines of a file open in binary, read as they are asked for;
+    UnicodeDecodeError on a line that is not UTF-8."""
+    for raw in fh:  # each ends at b"\n", so no "\r\n" is cut in two
+        yield from _lines(raw.decode("utf-8"))
 
 
 def _decode(raw):
@@ -189,8 +244,7 @@ def _decode(raw):
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the line of the bad byte, counting line breaks as str.splitlines does
-        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        line = len(_lines(raw[:exc.start].decode("utf-8") + "x"))  # the bad byte's line
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
                          line=line) from None
 
@@ -232,9 +286,14 @@ def _parse(lines):
         columns = None
     if columns is None or _first_rejection(columns, sensor) is not None:
         _reject(lines, columns, sensor)
+    return _stream(columns), sensor
+
+
+def _stream(columns):
+    """The `EventStream` of accepted (t, x, y, p) record columns, p on disk."""
     t, x, y, p = columns
     # contiguous columns, so that the stream does not hold the records
-    return EventStream(t.copy(), x.copy(), y.copy(), np.where(p == 1, 1, -1)), sensor
+    return EventStream(t.copy(), x.copy(), y.copy(), np.where(p == 1, 1, -1))
 
 
 _CHUNK = 1 << 16  # events built from one slice of the columns
@@ -266,7 +325,7 @@ def _first_rejection(columns, sensor):
     (t, x, y, p) columns rejects, or None."""
     t, x, y, p = columns
     checks = [  # (rejected records, error type, message); on one record the first wins
-        (~np.isin(p, (0, 1, -1)), ParseError, "polarity must be 0/1 (or -1), got {p}"),
+        ((p < -1) | (p > 1), ParseError, "polarity must be 0/1 (or -1), got {p}"),
         (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
         (np.r_[False, t[1:] < t[:-1]], OrderingError, "timestamp {t} decreases below {t_prev}"),
     ]
@@ -305,11 +364,14 @@ def _reject(lines, columns, sensor):
 
 
 def _records(lines):
-    """The t, x, y, p columns of the records among `lines`, skipping '#'
-    comments and blank lines; ValueError if any other line is not a record."""
+    """The t, x, y, p columns of the records among `lines`, a list of lines
+    or the path of a file (which numpy reads in chunks), skipping '#'
+    comments and blank lines; ValueError if any other line is not a record
+    or, in a file, not UTF-8."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy warns when no line is a record
-        return _record_columns(np.loadtxt(lines, dtype=_RECORD, comments="#", ndmin=1))
+        return _record_columns(np.loadtxt(lines, dtype=_RECORD, comments="#", ndmin=1,
+                                          encoding="utf-8"))
 
 
 def _first_unreadable(lines):
@@ -444,8 +506,11 @@ def normalize_nonzero(grid):
 
 
 def slice_temporal_bins(grid):
-    """Ordered list of the B single-channel H x W planes."""
-    return [plane.copy() for plane in grid.data]
+    """Ordered list of the B single-channel H x W planes, as read-only
+    views of the grid."""
+    planes = grid.data.view()
+    planes.flags.writeable = False
+    return list(planes)
 
 
 def window_bins(window, n_bins):

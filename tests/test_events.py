@@ -1,6 +1,11 @@
 import gc
+import gzip
 import math
+import os
+import re
+import threading
 import tracemalloc
+import urllib.request
 import weakref
 from itertools import chain
 
@@ -23,6 +28,18 @@ def make_events(ts, x=0, y=0, p=1):
     return [Event(t=t, x=x, y=y, p=p) for t in ts]
 
 
+# the characters other than "\n" and "\r" at which str.splitlines ends a line;
+# in an event file each is whitespace inside a line
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def oracle_lines(text):
+    r"""The lines of `text` by the file rule: a line ends at "\n", "\r\n" or
+    "\r", and a break that ends the text opens no further line."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def oracle_parse_event_stream(stream):
     """The per-line parser the bulk pass replaced, kept as its reference.
 
@@ -32,7 +49,7 @@ def oracle_parse_event_stream(stream):
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = oracle_lines(stream)
     events = []
     last_t = None
     for lineno, line in enumerate(stream, start=1):
@@ -335,6 +352,48 @@ class TestParsing:
             parse_event_stream(b"\n".join([b"0.1 1 1 1", b"0.2 \xc3 1 1"]))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text,records", [
+        ("0.1 1 2 1\r0.2 3 4 0\r", [(0.1, 1, 2, 1), (0.2, 3, 4, -1)]),  # "\r" ends a line
+        ("0.1\x0c1 2 1\n", [(0.1, 1, 2, 1)]),  # form feed is whitespace
+        *[(f"0.1{sep}1 2{sep}1\r\n", [(0.1, 1, 2, 1)]) for sep in SEPARATORS],
+    ])
+    def test_line_rule_accepts(self, tmp_path, text, records):
+        assert parse_event_stream(text) == records
+        assert load_events(self._write(tmp_path, text))[0] == records
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_line_rule_joins_records_across_other_separators(self, tmp_path, sep):
+        # two records joined by a separator are one line of 8 fields
+        text = f"0.1 1 2 1{sep}0.2 1 2 1\n0.3 1 2 1\n"
+        for parse in (parse_event_stream, lambda text: load_events(self._write(tmp_path, text))):
+            with pytest.raises(ParseError, match=r"line 1: expected 4 fields 't x y p', got 8"):
+                parse(text)
+
+    @pytest.mark.parametrize("text,line", [
+        ("# 2 4\r\r0.1 1 1 1\r0.2 1 \xff 1\r", 4),
+        ("0.1 1 1 1\x0b\x0c\x85\u2028\n0.2 1 \xff 1\n", 2),
+        ("0.1 1 1 1\r\n\r\n\r0.2 1 \xff 1\n", 4),
+    ])
+    def test_bad_byte_line_follows_the_line_rule(self, tmp_path, text, line):
+        raw = text.encode("utf-8").replace(b"\xc3\xbf", b"\xff")
+        with pytest.raises(ParseError, match=rf"^line {line}: not UTF-8"):
+            parse_event_stream(raw)
+        path = tmp_path / "events.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=rf"events.txt: line {line}: not UTF-8"):
+            load_events(path)
+
+    def test_bad_byte_deep_in_a_large_file_names_its_line(self, tmp_path):
+        # numpy's chunked reader stops on the byte; the line is counted afterwards
+        lines = [b"# 180 240\n"] + [b"%.9f 3 4 1\n" % (k * 1e-6) for k in range(500_000)]
+        bad = 490_001  # the line of the bad byte; the header is line 1
+        lines[bad - 1] = lines[bad - 1].replace(b" 3 ", b" \xff ")
+        path = tmp_path / "events.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=rf"events.txt: line {bad}: not UTF-8") as exc:
+            load_events(path)
+        assert exc.value.line == bad
+
     def test_file_line_numbers_count_every_line(self, tmp_path):
         # CRLF endings, blank lines, comments, tabs: line 6 is the bad record
         text = "# 4 4\r\n\r\n0.1\t1 2 1 # ok\r\n   \r\n# note\r\n0.05 1 2 1\r\n"
@@ -431,6 +490,50 @@ def mixed_lines(draw):
     return lines
 
 
+@st.composite
+def joined(draw, lines):
+    r"""The UTF-8 bytes of `lines`, each break drawn from "\n", "\r\n",
+    "\r" and the other separators of str.splitlines; the text may end on
+    a break."""
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    breaks = st.sampled_from([ending] * 6 + SEPARATORS)
+    text = "".join(line + draw(breaks) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1] if not text.endswith("\r\n") else text[:-2]
+    return text.encode("utf-8")
+
+
+@st.composite
+def damaged_small_files(draw):
+    r"""SMALL_FILE with its line breaks drawn from "\n", "\r\n" and "\r",
+    then cut short, one byte overwritten or a separator inserted."""
+    ending = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    data = SMALL_FILE.replace(b"\r\n", b"\n").replace(b"\n", ending)
+    k = draw(st.integers(0, len(data) - 1))
+    damage = draw(st.sampled_from(["cut", "byte", "separator"]))
+    if damage == "cut":
+        return data[:k]
+    insert = (bytes([draw(st.integers(0, 255))]) if damage == "byte"
+              else draw(st.sampled_from(SEPARATORS)).encode("utf-8"))
+    return data[:k] + insert + data[k + (damage == "byte"):]
+
+
+def read_outcome(read, source):
+    """(column bytes and dtypes, sensor) of a read, or (error type, message,
+    line) of its rejection."""
+    try:
+        stream, sensor = read(source)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return [(c.dtype.str, c.tobytes()) for c in stream.columns], sensor
+
+
+def text_route(data):
+    """(EventStream, sensor size or None) of event text, read as
+    `parse_event_stream` reads it."""
+    return parse_event_stream(data), events_module._sensor_size(events_module._lines(data))
+
+
 def parse_outcome(parse, lines):
     """(events, sensor) of a parse, or (error type, message, line) of its rejection."""
     try:
@@ -470,6 +573,84 @@ class TestParsingProperties:
             return
         # whatever the bulk parser accepts, the per-line oracle read the same way
         assert events == oracle_parse_event_stream(data)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(
+        mixed_lines().flatmap(joined),
+        event_files().map(oracle_lines).flatmap(joined),
+        damaged_small_files()))
+    def test_file_route_equals_text_route(self, damaged_path, data):
+        # load_events hands numpy the file's path; parse_event_stream splits the text
+        damaged_path.write_bytes(data)
+        got = read_outcome(load_events, damaged_path)
+        if not isinstance(got[0], list):  # a rejection names the file first
+            prefix = f"{damaged_path}: "
+            assert got[1].startswith(prefix)
+            got = got[0], got[1][len(prefix):], got[2]
+        assert got == read_outcome(text_route, data)
+
+
+class TestFileOpening:
+    """numpy opens a path string itself: it downloads a URL, decompresses a
+    compressed suffix, and opens name.gz for a missing name. `load_events`
+    hands it only the absolute path of a regular file it has opened."""
+
+    TEXT = b"# 4 6\n0.1 1 2 1\n0.2 5 3 0\n"
+    EVENTS = [Event(0.1, 1, 2, 1), Event(0.2, 5, 3, -1)]
+
+    @pytest.fixture(autouse=True)
+    def no_download(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a URL was opened")
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        path = tmp_path / f"events.txt{suffix}"
+        path.write_bytes(self.TEXT)
+        assert load_events(path) == (self.EVENTS, (4, 6))
+        path.write_bytes(self.TEXT + b"0.3 9 1 1\n")
+        with pytest.raises(ParseError, match=rf"events.txt\{suffix}: line 4: event at"):
+            load_events(path)
+
+    def test_compressed_file_is_not_decompressed(self, tmp_path):
+        path = tmp_path / "events.txt.gz"
+        path.write_bytes(gzip.compress(self.TEXT))
+        with pytest.raises(ParseError, match=r"events.txt.gz: line 1: not UTF-8"):
+            load_events(path)
+
+    def test_missing_name_does_not_open_its_gz(self, tmp_path):
+        (tmp_path / "e.txt.gz").write_bytes(gzip.compress(self.TEXT))
+        with pytest.raises(FileNotFoundError, match=r"e.txt'$"):
+            load_events(tmp_path / "e.txt")
+
+    def test_relative_path_that_reads_as_a_url(self, tmp_path, monkeypatch):
+        # "http://localhost/e.txt" names the file e.txt under ./http:/localhost;
+        # numpy would take it for a URL, and first look for ./localhost/e.txt
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "e.txt").write_bytes(self.TEXT)
+        (tmp_path / "localhost").mkdir()
+        (tmp_path / "localhost" / "e.txt").write_bytes(b"0.5 0 0 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_events("http://localhost/e.txt") == (self.EVENTS, (4, 6))
+
+    def test_bytes_path_and_descriptor_are_read_as_bytes(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_bytes(self.TEXT)
+        assert load_events(os.fsencode(path)) == (self.EVENTS, (4, 6))
+        assert load_events(os.open(path, os.O_RDONLY)) == (self.EVENTS, (4, 6))
+
+    def test_fifo_is_read_once_as_bytes(self, tmp_path):
+        path = tmp_path / "events.fifo"
+        os.mkfifo(path)
+        # a second open of the FIFO would wait for a writer for ever: read in
+        # a thread, so that the test fails rather than hangs
+        read = []
+        reader = threading.Thread(target=lambda: read.append(load_events(path)), daemon=True)
+        reader.start()
+        path.write_bytes(self.TEXT)
+        reader.join(timeout=10)
+        assert read == [(self.EVENTS, (4, 6))]
 
 
 class TestEventStream:
@@ -852,6 +1033,12 @@ class TestVoxelGrid:
         grid = encode_voxel_grid(w, 4)
         planes = slice_temporal_bins(grid)
         assert len(planes) == 4 and planes[0].shape == (3, 3)
+        # read-only views of the grid, bitwise its planes
+        for plane, want in zip(planes, grid.data):
+            assert np.shares_memory(plane, grid.data) and plane.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                plane[0, 0] = 1.0
+        assert grid.data.flags.writeable
 
     def test_window_bins_are_the_normalized_planes(self):
         # the network input of a window, read by training and inference alike
