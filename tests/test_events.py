@@ -640,6 +640,17 @@ class TestFileOpening:
         assert load_events(os.fsencode(path)) == (self.EVENTS, (4, 6))
         assert load_events(os.open(path, os.O_RDONLY)) == (self.EVENTS, (4, 6))
 
+    @pytest.mark.parametrize("name", ["events.txt", "events.txt.gz"])
+    def test_stream_columns_are_contiguous_and_their_own(self, tmp_path, name):
+        # by numpy's file reader and by the bytes route alike: no column is a
+        # view of numpy's record array, so that array is freed on return
+        path = tmp_path / name
+        path.write_bytes(self.TEXT + b"0.3 2 1 1\n")
+        stream, _ = load_events(path)
+        assert len(stream) == 3
+        for column in stream.columns:
+            assert column.flags.c_contiguous and column.base is None
+
     def test_fifo_is_read_once_as_bytes(self, tmp_path):
         path = tmp_path / "events.fifo"
         os.mkfifo(path)
@@ -1051,7 +1062,84 @@ class TestVoxelGrid:
         assert len(got) == 3 and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def oracle_normalize_nonzero(grid):
+    """The normalizer that gathered and wrote the nonzero entries through a
+    boolean mask, kept as the bitwise reference for the index-set form. It
+    keeps the input's dtype, so it is compared on float64 grids only."""
+    data = grid.data.copy()
+    mask = data != 0
+    if mask.any():
+        vals = data[mask]
+        std = vals.std()
+        data[mask] = (vals - vals.mean()) / std if std > 0 else 0.0
+    return VoxelGrid(data, grid.t0, grid.t1)
+
+
+@st.composite
+def normalize_grids(draw):
+    """Float64 grids up to 5x64x64: all zero, one nonzero, constant nonzeros
+    (std 0), all nonzero and random sparse, some with -0.0 entries and some
+    a strided view (`data[:, ::2]`) of a larger array."""
+    b, h, w = draw(st.integers(1, 5)), draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = b * h * w
+    kind = draw(st.sampled_from(["zero", "single", "constant", "all", "sparse"]))
+    count = {"zero": 0, "single": 1, "all": n}.get(kind, int(rng.integers(1, n + 1)))
+    values = (np.full(count, draw(st.sampled_from([1.0, -2.5, 1e-300])))
+              if kind == "constant" else
+              rng.standard_normal(count) * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    cells = np.zeros(n)
+    if draw(st.booleans()):
+        cells[:] = -0.0  # every zero signed
+    cells[rng.choice(n, count, replace=False)] = values
+    cells = cells.reshape(b, h, w)
+    if not draw(st.booleans()):
+        return cells
+    wide = np.full((b, 2 * h, w), np.nan)  # rows a strided read must skip
+    wide[:, ::2] = cells
+    return wide[:, ::2]
+
+
 class TestNormalization:
+    @PROPERTY
+    @given(normalize_grids())
+    def test_equals_boolean_mask_oracle_bitwise(self, data):
+        got = normalize_nonzero(VoxelGrid(data, 0.25, 0.5))
+        want = oracle_normalize_nonzero(VoxelGrid(data, 0.25, 0.5))
+        assert (got.t0, got.t1) == (0.25, 0.5)
+        assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_ingest_stream_grids_equal_the_oracle_bitwise(self):
+        # the benchmark's ingest shape: 200k events over 1 s, 100 windows of 5 bins
+        n = 200_000
+        rng = np.random.default_rng(7)
+        stream = EventStream(np.sort(rng.random(n)), rng.integers(0, 240, n),
+                             rng.integers(0, 180, n), rng.choice([-1, 1], n))
+        windows = split_windows(stream, 180, 240, duration=0.01)
+        assert len(windows) == 100
+        for window in windows:
+            grid = encode_voxel_grid(window, 5)
+            got, want = normalize_nonzero(grid).data, oracle_normalize_nonzero(grid).data
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.float64])
+    def test_any_grid_normalizes_in_float64(self, dtype):
+        # an int grid took the standardized values back as ints: [-1, 0, 1, 0]
+        out = normalize_nonzero(VoxelGrid(np.array([[[1, 2, 3, 0]]], dtype=dtype), 0, 1))
+        assert out.data.dtype == np.float64
+        np.testing.assert_allclose(out.data, [[[-1.5 ** 0.5, 0.0, 1.5 ** 0.5, 0.0]]], rtol=1e-15)
+
+    @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+    def test_input_grid_is_left_untouched(self, density):
+        # the benchmark's ingest check sums each raw grid after normalizing it
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((3, 8, 9)) * (rng.random((3, 8, 9)) < density)
+        before = data.copy()
+        out = normalize_nonzero(VoxelGrid(data, 0.0, 1.0))
+        assert data.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.data, data)
+
     def test_zero_grid_stays_zero(self):
         from evrecon.events import VoxelGrid
         g = VoxelGrid(np.zeros((2, 3, 3)), 0.0, 1.0)

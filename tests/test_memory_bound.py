@@ -14,9 +14,9 @@ A 1M-event file loaded as `Event` objects peaked at 269.7 MiB under
 tracemalloc and held 107.2 MiB (112 bytes an event). As columns it held
 30.5 MiB (32 bytes an event: t, x, y and p at 8 bytes), and peaked at
 155.7 MiB while numpy read a list of Python lines; read by numpy from the
-file's path it peaks at 62.1 MiB (65 bytes an event: the record array and
-the columns). The test loads 200k events, in the benchmark's `ingest`
-format.
+file's path it peaks at 61.1 MiB (64 bytes an event: the record array and
+its contiguous column copies). The test loads 200k events, in the
+benchmark's `ingest` format.
 """
 
 import tracemalloc

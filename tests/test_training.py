@@ -6,8 +6,8 @@ import pytest
 from evrecon import training
 from evrecon.autodiff import Tensor
 from evrecon.errors import ConfigError, ShapeError
-from evrecon.events import (Event, EventWindow, encode_voxel_grid, normalize_nonzero,
-                            slice_temporal_bins, split_windows, window_bins)
+from evrecon.events import (Event, EventWindow, encode_voxel_grid, slice_temporal_bins,
+                            split_windows, window_bins)
 from evrecon.model import Network, NetworkSpec
 from evrecon.synthetic import SyntheticScene, generate_events, random_scene, scene_frames
 from evrecon.quality import score
@@ -15,6 +15,7 @@ from evrecon.training import (TrainConfig, evaluate_reconstruction,
                               reconstruction_loss, scene_to_bins,
                               temporal_consistency_loss, total_loss, train,
                               write_metrics_csv)
+from test_events import oracle_normalize_nonzero
 
 
 def tiny_net(seed=0):
@@ -217,14 +218,15 @@ class TestSceneToBins:
 
 def oracle_scene_to_bins(scene, n_bins=1):
     """The per-frame filter `scene_to_bins` replaced: every window scans
-    the whole stream for t0 < t <= t1."""
+    the whole stream for t0 < t <= t1. Its grids are normalized by the
+    boolean-mask oracle."""
     events, frames, flows = generate_events(scene)
     h, w = scene.texture.shape
     bins = []
     for s in range(1, len(frames)):
         t0, t1 = (s - 1) * scene.dt, s * scene.dt
         window = EventWindow([ev for ev in events if t0 < ev.t <= t1], t0, t1, h, w)
-        bins += slice_temporal_bins(normalize_nonzero(encode_voxel_grid(window, n_bins)))
+        bins += slice_temporal_bins(oracle_normalize_nonzero(encode_voxel_grid(window, n_bins)))
     return bins
 
 
@@ -236,7 +238,7 @@ class TestSceneToBinsOracle:
         want = oracle_scene_to_bins(scene, n_bins)
         assert len(bins) == len(want) == 40 * n_bins
         for got, ref in zip(bins, want):
-            assert np.array_equal(got, ref)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_events_on_window_edges(self, monkeypatch):
         # t0 < t <= t1: an event at t1 belongs to the window that ends there,
