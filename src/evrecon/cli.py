@@ -18,7 +18,8 @@ from . import checkpoint as ckpt
 from . import energy as energy_mod
 from . import quality
 from .errors import ConfigError, EvreconError, ParseError, config_from_dict
-from .events import encode_voxel_grid, load_events, save_events, split_windows, window_bins
+from .events import (check_bin_count, encode_voxel_grid, load_events, save_events,
+                     split_windows, window_bins)
 from .model import Network, NetworkSpec, spike_rate
 from .neurons import NeuronConfig, SpikingLayer, lif_step, mp_step, surrogate_grad
 from .synthetic import SceneConfig, SyntheticScene, generate_events
@@ -74,16 +75,20 @@ def _windows(events, sensor, args):
 
 
 def _network_windows(args, spec):
-    """(window, its normalized bins) of each window of `--events` for a network
-    of `spec`; a file without a size header is taken to be the spec's size."""
-    events, sensor = load_events(args.events)
-    return [(window, window_bins(window, args.bins))
-            for window in _windows(events, sensor or (spec.height, spec.width), args)]
+    """The windows of `--events` for a network of `spec`; a file without a
+    size header is taken to be the spec's size, and its events must lie on it."""
+    check_bin_count(args.bins, spec.height, spec.width)
+    events, sensor = load_events(args.events, (spec.height, spec.width))
+    if sensor != (spec.height, spec.width):
+        raise ConfigError(f"{args.events}: the file's sensor is {sensor[0]}x{sensor[1]}, "
+                          f"the network reconstructs {spec.height}x{spec.width}")
+    return _windows(events, sensor, args)
 
 
-def _network_bins(args, spec):
-    """The bins of `--events` for a network of `spec`, window after window."""
-    return [b for _, bins in _network_windows(args, spec) for b in bins]
+def _network_bins(windows, n_bins):
+    """The bins of `windows`, window after window: a window's bins are built
+    once the previous window's are used up."""
+    return (plane for window in windows for plane in window_bins(window, n_bins))
 
 
 # -- commands ----------------------------------------------------------------
@@ -106,11 +111,10 @@ def cmd_simulate(args):
 
 
 def cmd_voxelize(args):
-    events, sensor = load_events(args.events)
+    flags = None if args.height is None or args.width is None else (args.height, args.width)
+    events, sensor = load_events(args.events, flags)
     if sensor is None:
-        if args.height is None or args.width is None:
-            raise ConfigError("event file has no size header; pass --height/--width")
-        sensor = (args.height, args.width)
+        raise ConfigError("event file has no size header; pass --height/--width")
     h, w = sensor
     windows = _windows(events, sensor, args)
     tensors = {}
@@ -147,13 +151,13 @@ def cmd_train(args):
 
 
 def cmd_reconstruct(args):
+    net = Network.load(args.checkpoint)
+    windows = _network_windows(args, net.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net = Network.load(args.checkpoint)
-    images = net.forward_sequence(_network_bins(args, net.spec))
-    for i, img in enumerate(images):
+    for i, img in enumerate(net.forward_sequence(_network_bins(windows, args.bins))):
         write_pgm(out / f"recon_{i:04d}.pgm", quality.histogram_normalize(img).data)
-    print(f"wrote {len(images)} reconstructions to {out}")
+    print(f"wrote {len(windows) * args.bins} reconstructions to {out}")
     return 0
 
 
@@ -167,7 +171,7 @@ def _ground_truth(gt_dir, windows, duration, spec):
         if frame.shape != (spec.height, spec.width):
             raise ConfigError(f"{gt_dir / name}: frame is {frame.shape[0]}x{frame.shape[1]}, "
                               f"the network reconstructs {spec.height}x{spec.width}")
-    names = [f"gt_{round(window.t1 / duration):04d}.pgm" for window, _ in windows]
+    names = [f"gt_{round(window.t1 / duration):04d}.pgm" for window in windows]
     missing = [name for name in names if name not in frames]
     if missing:
         raise ConfigError(f"{gt_dir}: no {missing[0]} to score its window against")
@@ -178,30 +182,27 @@ def cmd_probe(args):
     if args.gt and args.window_count is not None:
         raise ConfigError("probe --gt scores each window against the frame at its end, "
                           "so it takes --window-ms, not --window-count")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net = Network.load(args.checkpoint)
     windows = _network_windows(args, net.spec)
     targets = (_ground_truth(Path(args.gt), windows, args.window_ms / 1000.0, net.spec)
                if args.gt else [None] * len(windows))
-    feed = [(plane, gt) for (_, bins), gt in zip(windows, targets) for plane in bins]
-
-    rows = []
-    net.reset_state()
-    with ad.no_grad():
-        for i, (plane, gt) in enumerate(feed):
-            spike_counts = {}
-            img = net.forward_step(plane if i < args.cutoff else np.zeros_like(plane),
-                                   spike_counts).data[0, 0]
-            mse, ssim = ("", "") if gt is None else quality.score(img, gt)
-            rows.append({"step": i, "mse": mse, "ssim": ssim, "spike_rate": spike_rate(spike_counts),
-                         "after_cutoff": int(i >= args.cutoff)})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    planes = (plane if i < args.cutoff else np.zeros_like(plane)
+              for i, plane in enumerate(_network_bins(windows, args.bins)))
+    gts = (gt for gt in targets for _ in range(args.bins))  # a window's frame for each bin
+    spike_counts = {}  # the tally of one step, cleared after its frame
     csv_path = out / "probe.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["step", "mse", "ssim",
                                                 "spike_rate", "after_cutoff"])
         writer.writeheader()
-        writer.writerows(rows)
+        for i, (img, gt) in enumerate(zip(net.forward_sequence(planes, spike_counts), gts)):
+            mse, ssim = ("", "") if gt is None else quality.score(img, gt)
+            writer.writerow({"step": i, "mse": mse, "ssim": ssim,
+                             "spike_rate": spike_rate(spike_counts),
+                             "after_cutoff": int(i >= args.cutoff)})
+            spike_counts.clear()
     print(f"wrote {csv_path}")
     return 0
 
@@ -238,8 +239,8 @@ def cmd_profile(args):
     if args.events:
         if net is None:  # only measured spike rates need a network
             net = Network(spec, seed=args.seed)
-        stats = energy_mod.measure_spike_rates(net, [_network_bins(args, spec)],
-                                               op_counts=counts)
+        bins = _network_bins(_network_windows(args, spec), args.bins)
+        stats = energy_mod.measure_spike_rates(net, [bins], op_counts=counts)
         empty_bins = [np.zeros((spec.height, spec.width))] * 10
         empty_stats = energy_mod.measure_spike_rates(net, [empty_bins], op_counts=counts)
         empty_rate = empty_stats.overall_neuron_weighted

@@ -80,13 +80,14 @@ def count_ann_ops(spec):
 def measure_spike_rates(net, bin_sequences, op_counts=None):
     """Run sequences through `net` and average each layer's firing rate.
 
-    `bin_sequences` is an iterable of bin lists (each a full sequence; the
-    state is reset between sequences). Rates are spikes / neurons stepped,
-    pooled over all steps and sequences in one spike tally.
+    `bin_sequences` is an iterable of bin iterables (each a full sequence;
+    the state is reset between sequences; no frame is kept). Rates are spikes
+    / neurons stepped, pooled over all steps and sequences in one spike tally.
     """
     spike_counts = {}
     for bins in bin_sequences:
-        net.forward_sequence(bins, spike_counts)
+        for _ in net.forward_sequence(bins, spike_counts):
+            pass
     per_layer = {lid: spike_rate({lid: tally}) for lid, tally in spike_counts.items()}
     neuron_weighted = spike_rate(spike_counts)
 

@@ -184,8 +184,11 @@ def parse_event_stream(text):
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def load_events(path):
+def load_events(path, sensor=None):
     """Read an event file; returns (EventStream, sensor size or None).
+
+    The sensor is the file's "# H W" header, else `sensor`, the (H, W) the
+    caller assumes for a file without one; every event must lie on it.
 
     A regular file is read without splitting it into Python lines: its
     header from its first non-blank line, and its records by numpy's
@@ -197,29 +200,29 @@ def load_events(path):
     """
     with open(path, "rb") as fh:
         try:
-            return _load(fh)
+            return _load(fh, sensor)
         except ParseError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
 
 
-def _load(fh):
+def _load(fh, assumed):
     """(EventStream, sensor size or None) of an event file open in binary."""
     name = fh.name
     if (not isinstance(name, str) or name.endswith(_COMPRESSED)
             or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
-        return _parse(_lines(fh.read()))
+        return _parse(_lines(fh.read()), assumed)
     try:
-        sensor = _sensor_size(_file_lines(fh))
+        header = _sensor_size(_file_lines(fh))
         # numpy opens a path itself; an absolute one, of a file that is
         # open and regular, names no URL and no other file
         columns = _records(os.path.abspath(name))
     except ValueError:  # not UTF-8, or some line is not a record
         columns = None
-    if columns is None or _first_rejection(columns, sensor) is not None:
+    if columns is None or _first_rejection(columns, header, assumed) is not None:
         fh.seek(0)
-        return _parse(_lines(fh.read()))  # names the first bad line
-    return _stream(columns), sensor
+        return _parse(_lines(fh.read()), assumed)  # names the first bad line
+    return _stream(columns), header or assumed
 
 
 def _lines(text):
@@ -272,21 +275,22 @@ def _check_sensor(h, w, error, **where):
         raise error(f"sensor side must be at most {MAX_SENSOR_SIDE}, got {h} x {w}", **where)
 
 
-def _parse(lines):
-    """(EventStream, sensor size or None) of the lines of an event file.
+def _parse(lines, assumed=None):
+    """(EventStream, sensor size or None) of the lines of an event file,
+    held to its header's sensor, else to the `assumed` one.
 
     One bulk pass: numpy reads every record in one call, skipping comments
     and blank lines itself, and the columns are checked. Only a rejected
     file has its lines numbered, to name the earliest bad one.
     """
-    sensor = _sensor_size(lines)
+    header = _sensor_size(lines)
     try:
         columns = _records(lines)
     except ValueError:
         columns = None
-    if columns is None or _first_rejection(columns, sensor) is not None:
-        _reject(lines, columns, sensor)
-    return _stream(columns), sensor
+    if columns is None or _first_rejection(columns, header, assumed) is not None:
+        _reject(lines, columns, header, assumed)
+    return _stream(columns), header or assumed
 
 
 def _stream(columns):
@@ -319,20 +323,23 @@ def events_from_columns(t, x, y, p):
             gc.enable()
 
 
-def _first_rejection(columns, sensor):
+def _first_rejection(columns, header, assumed):
     """(index, error type, message) of the first record a check of its
-    (t, x, y, p) columns rejects, or None."""
+    (t, x, y, p) columns rejects, or None. Events must lie on the `header`
+    sensor, else on the `assumed` one (ConfigError unless it is a legal size)."""
     t, x, y, p = columns
     checks = [  # (rejected records, error type, message); on one record the first wins
         ((p < -1) | (p > 1), ParseError, "polarity must be 0/1 (or -1), got {p}"),
         (~np.isfinite(t), ParseError, "timestamp {t} is not finite"),
         (np.r_[False, t[1:] < t[:-1]], OrderingError, "timestamp {t} decreases below {t_prev}"),
     ]
-    if sensor is not None:
-        h, w = sensor
+    if header or assumed:
+        h, w = header or assumed
+        if header is None:  # a size the caller assumed, not one the file declared
+            _check_sensor(h, w, ConfigError)
         checks.append((_off_sensor(x, y, h, w), ParseError,
-                       f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} "
-                       "sensor of the header"))
+                       f"event at (x, y) = ({{x}}, {{y}}) lies outside the {h}x{w} sensor"
+                       + ("" if header is None else " of the header")))
     rejected = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks) if mask.any()]
     if not rejected:
         return None
@@ -341,9 +348,10 @@ def _first_rejection(columns, sensor):
     return i, error, message.format(t=t[i], t_prev=t[i - 1], x=x[i], y=y[i], p=p[i])
 
 
-def _reject(lines, columns, sensor):
+def _reject(lines, columns, header, assumed):
     """Raise ParseError for the earliest bad line of a rejected file, given
-    the columns of its records, or None if some line is not a record."""
+    the columns of its records (None if some line is not a record) and its
+    `header` and `assumed` sensors."""
     # every line without its comment and surrounding whitespace
     text = list(map(str.strip, map(itemgetter(0), map(str.partition, lines, repeat("#")))))
     lineno = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
@@ -352,7 +360,7 @@ def _reject(lines, columns, sensor):
     if columns is None:
         bad = _first_unreadable(content)
         columns = _records(content[:bad])
-    rejection = _first_rejection(columns, sensor)
+    rejection = _first_rejection(columns, header, assumed)
     if rejection is not None:
         i, error, message = rejection
         raise error(message, line=int(lineno[i]))
@@ -454,17 +462,22 @@ def _duration_windows(events, d, first, last, sensor_h, sensor_w):
             for a, b, t0, t1 in zip(ends, ends[1:], edges, edges[1:])]
 
 
+def check_bin_count(n_bins, h, w):
+    """Refuse a bin count no h x w voxel grid can have."""
+    if n_bins < 1:
+        raise ConfigError(f"bin count must be >= 1, got {n_bins}")
+    if n_bins * h * w * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
+        raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
+
+
 def encode_voxel_grid(window, n_bins):
     """Continuous voxel grid: each event deposits its polarity with a
     triangular kernel onto the two bins around its normalized timestamp
     t* = (B-1) (t - t0) / (t1 - t0). One bincount deposits all the left
     shares, then all the right ones, each in event order.
     """
-    if n_bins < 1:
-        raise ConfigError(f"bin count must be >= 1, got {n_bins}")
     h, w = window.sensor_h, window.sensor_w
-    if n_bins * h * w * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
-        raise ConfigError(f"bin count {n_bins} is too large for a {h}x{w} grid")
+    check_bin_count(n_bins, h, w)
     t, x, y, p = window.columns
     n = len(t)
     outside = _off_sensor(x, y, h, w)

@@ -364,16 +364,17 @@ class Network:
         return image
 
     def forward_sequence(self, bins, spike_counts=None):
-        """Reset state, fold forward_step over bins, return per-step images.
+        """The one inference loop: reset state, then yield each bin's (H, W)
+        image (first batch element) as it is computed, one at a time.
 
-        Runs without gradient recording; images come back as (H, W) arrays
-        (first batch element). `spike_counts` tallies every step, as in
-        `forward_step`.
+        Each step runs without gradient recording; recording is back on
+        between images. `spike_counts` tallies every step, as in `forward_step`.
         """
         self.reset_state()
-        with ad.no_grad():
-            return [self.forward_step(plane, spike_counts).data[0, 0].copy()
-                    for plane in bins]
+        for plane in bins:
+            with ad.no_grad():
+                image = self.forward_step(plane, spike_counts).data[0, 0].copy()
+            yield image
 
     # -- serialization -------------------------------------------------------
     def named_tensors(self):
@@ -411,5 +412,7 @@ class Network:
             if tensors[name].shape != array.shape:
                 raise ParseError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                                  f"the spec wants {array.shape}")
+            if not np.isfinite(tensors[name]).all():
+                raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
             array[...] = tensors[name]
         return net

@@ -429,7 +429,8 @@ class TestReconstruct:
         scene = config_from_dict(SyntheticScene, json.loads(meta.read_text()), meta)
         args = argparse.Namespace(events=sim_dir / "events.txt", bins=bins, window_ms=10.0,
                                   window_count=None)
-        got = cli._network_bins(args, NetworkSpec(height=16, width=16))
+        got = list(cli._network_bins(
+            cli._network_windows(args, NetworkSpec(height=16, width=16)), bins))
         want, _, _ = scene_to_bins(scene, bins)
         assert len(got) == len(want) == bins * (SIM_CONFIG["steps"] - 1)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -441,6 +442,81 @@ class TestReconstruct:
                    "--out", str(tmp_path), "--window-ms", "10"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+class TestRejectedInputs:
+    """A bad checkpoint or event file fails a network command before it
+    writes anything: no --out is made."""
+
+    # line 3, in the third 10 ms window, lies off the network's 16x16 sensor
+    HEADERLESS = "0.001 3 4 1\n0.012 5 5 0\n0.025 20 2 1\n0.031 1 1 1\n"
+
+    @staticmethod
+    def run(command, checkpoint, events, out, *extra):
+        network = [] if command == "voxelize" else ["--checkpoint", str(checkpoint)]
+        return main([command, *network, "--events", str(events), "--out", str(out),
+                     "--bins", "1", "--window-ms", "10", *extra])
+
+    @pytest.mark.parametrize("command,extra", [
+        ("reconstruct", []), ("probe", ["--cutoff", "2"]), ("profile", []),
+        ("voxelize", ["--height", "16", "--width", "16"])])
+    def test_off_sensor_event_in_a_headerless_file_names_its_line(self, trained_dir, tmp_path,
+                                                                   capsys, command, extra):
+        # reconstruct wrote two frames, then every command named "event 0"
+        # of the third window and no file or line
+        events = tmp_path / "events.txt"
+        events.write_text(self.HEADERLESS)
+        out = tmp_path / "out"
+        assert self.run(command, trained_dir / "checkpoint.spkt", events, out, *extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {events}: line 3: event at (x, y) = (20, 2) lies outside the 16x16 sensor\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [("reconstruct", []),
+                                               ("probe", ["--cutoff", "2"])])
+    def test_a_file_of_another_sensor_size_is_refused(self, trained_dir, tmp_path, capsys,
+                                                      command, extra):
+        events = tmp_path / "events.txt"
+        events.write_text("# 16 32\n0.001 3 4 1\n0.012 30 5 0\n")
+        out = tmp_path / "out"
+        assert self.run(command, trained_dir / "checkpoint.spkt", events, out, *extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {events}: the file's sensor is 16x32, the network reconstructs 16x16\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command,extra", [("reconstruct", []),
+                                               ("probe", ["--cutoff", "2"])])
+    def test_non_finite_checkpoint_is_refused(self, sim_dir, trained_dir, tmp_path, capsys,
+                                              command, extra, value):
+        # reconstruct wrote all-black frames and probe a spike rate of 0.0
+        net = Network.load(trained_dir / "checkpoint.spkt")
+        net.named_tensors()["pred.w"][0, 0, 1, 1] = value
+        path = tmp_path / "checkpoint.spkt"
+        net.save(path)
+        out = tmp_path / "out"
+        assert self.run(command, path, sim_dir / "events.txt", out, *extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: tensor 'pred.w' holds a non-finite value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [("reconstruct", []),
+                                               ("probe", ["--cutoff", "2"])])
+    def test_zero_bins_are_refused(self, sim_dir, trained_dir, tmp_path, capsys,
+                                   command, extra):
+        # --out was made, then the first window's voxel grid refused the count
+        out = tmp_path / "out"
+        assert self.run(command, trained_dir / "checkpoint.spkt", sim_dir / "events.txt",
+                        out, *extra, "--bins", "0") == 1
+        assert capsys.readouterr().err == "error: bin count must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_missing_checkpoint_makes_no_output(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run("reconstruct", tmp_path / "missing.spkt", sim_dir / "events.txt",
+                        out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestProbe:
@@ -470,7 +546,8 @@ class TestProbe:
             rows = list(csv.DictReader(fh))
         net = Network.load(trained_dir / "checkpoint.spkt")
         args = argparse.Namespace(events=events, bins=2, window_ms=10.0, window_count=None)
-        images = net.forward_sequence(cli._network_bins(args, net.spec))
+        images = list(net.forward_sequence(
+            cli._network_bins(cli._network_windows(args, net.spec), 2)))
         frames = [read_pgm(p) for p in sorted(sim_dir.glob("gt_*.pgm"))]
         assert len(rows) == len(images) >= 4
         for i, (row, img) in enumerate(zip(rows, images)):
@@ -491,7 +568,8 @@ class TestProbe:
             rows = list(csv.DictReader(fh))
         net = Network.load(trained_dir / "checkpoint.spkt")
         args = argparse.Namespace(events=events, bins=1, window_ms=10.0, window_count=None)
-        images = net.forward_sequence(cli._network_bins(args, net.spec))
+        images = list(net.forward_sequence(
+            cli._network_bins(cli._network_windows(args, net.spec), 1)))
         frames = [read_pgm(p) for p in sorted(sim_dir.glob("gt_*.pgm"))]
         assert len(rows) == len(images) == SIM_CONFIG["steps"] - 2
         for i, (row, img) in enumerate(zip(rows, images)):

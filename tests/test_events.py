@@ -327,6 +327,28 @@ class TestParsing:
         events, sensor = load_events(self._write(tmp_path, "# a comment\n0.1 700 9 1\n"))
         assert sensor is None and events[0].x == 700
 
+    @pytest.mark.parametrize("name", ["events.txt", "events.txt.gz"])
+    def test_headerless_file_is_held_to_the_assumed_sensor(self, tmp_path, name):
+        # the check ran only once a window was voxelized, and named "event 0"
+        # of that window, but no file or line; by both read routes
+        path = tmp_path / name
+        path.write_text("0.1 3 1 1\n# note\n0.2 7 1 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: event at "
+                                             r"\(x, y\) = \(7, 1\) lies outside the 2x4 sensor$"):
+            load_events(path, (2, 4))
+        events, sensor = load_events(path, (2, 8))
+        assert sensor == (2, 8) and len(events) == 2
+        path.write_text("# 2 8\n0.1 3 1 1\n0.2 7 1 1\n")  # a header wins
+        assert load_events(path, (2, 4))[1] == (2, 8)
+
+    def test_assumed_sensor_follows_the_header_rule(self, tmp_path):
+        path = self._write(tmp_path, "0.1 3 1 1\n")
+        with pytest.raises(ConfigError, match="^sensor size must be positive, got 0 x 4$"):
+            load_events(path, (0, 4))
+        with pytest.raises(ConfigError, match="^sensor side must be at most 65535"):
+            load_events(path, (65536, 4))
+        assert load_events(self._write(tmp_path, "# 2 4\n0.1 3 1 1\n"), (0, 4))[1] == (2, 4)
+
     @pytest.mark.parametrize("header", ["# 0 4", "# 2 0", "# -2 4"])
     def test_non_positive_header_rejected(self, tmp_path, header):
         with pytest.raises(ParseError, match=r"line 2: sensor size must be positive"):

@@ -7,7 +7,8 @@ mutated: values replaced, a key dropped or added, the whole document
 replaced, or its text cut short. An event file (`voxelize --events`), an
 SPKT checkpoint (`reconstruct --checkpoint`) and a PGM ground-truth frame
 (`probe --gt`) are damaged: bytes overwritten, the file cut short, or one
-field replaced. Each command runs in a child process
+field replaced; a rejected checkpoint or frame must leave no --out behind.
+Each command runs in a child process
 under an address-space limit (RLIMIT_AS, set in the child only), so an
 unbounded allocation shows as `error: out of memory` instead of taking
 the machine's memory. It must exit 0, or exit 1 with `error:` and no
@@ -298,11 +299,13 @@ def test_spkt_checkpoint(inputs, checkpoint, data):
     raw = data.draw(damaged(raw, fields) | mutated(SPEC).map(
         lambda text: _checkpoint_with_meta(raw, f'{{"spec": {text}}}')))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "checkpoint.spkt"
+        path, out = Path(tmp) / "checkpoint.spkt", Path(tmp) / "out"
         path.write_bytes(raw)
-        assert_clean(run_cli("reconstruct", "--checkpoint", path,
-                             "--events", inputs / "sim" / "events.txt", "--out", tmp,
-                             "--window-ms", 10, "--bins", 1))
+        proc = run_cli("reconstruct", "--checkpoint", path,
+                       "--events", inputs / "sim" / "events.txt", "--out", out,
+                       "--window-ms", 10, "--bins", 1)
+        assert_clean(proc)
+        assert proc.returncode == 0 or not out.exists()  # a rejected input makes no --out
 
 
 @FUZZ
@@ -313,6 +316,9 @@ def test_pgm_ground_truth(inputs, frame, data):
         gt = Path(tmp) / "gt"
         gt.mkdir()
         (gt / "gt_0000.pgm").write_bytes(raw)
-        assert_clean(run_cli("probe", "--checkpoint", inputs / "checkpoint.spkt",
-                             "--events", inputs / "sim" / "events.txt", "--cutoff", 2,
-                             "--gt", gt, "--out", tmp, "--window-ms", 10, "--bins", 1))
+        out = Path(tmp) / "out"
+        proc = run_cli("probe", "--checkpoint", inputs / "checkpoint.spkt",
+                       "--events", inputs / "sim" / "events.txt", "--cutoff", 2,
+                       "--gt", gt, "--out", out, "--window-ms", 10, "--bins", 1)
+        assert_clean(proc)
+        assert proc.returncode == 0 or not out.exists()  # a rejected input makes no --out

@@ -334,14 +334,15 @@ class TestForward:
         net = Network(tiny_spec(), seed=0)
         net.train_mode(True)
         whole = {}
-        net.forward_sequence(bins, whole)
+        assert len(list(net.forward_sequence(bins, whole))) == len(bins)
+        assert whole  # a lazy sequence left unconsumed tallies nothing
         per_step = []
         net.reset_state()
         for plane in bins:
             per_step.append({})
             net.forward_step(plane, per_step[-1])
         assert whole == {lid: [sum(t[lid][0] for t in per_step), sum(t[lid][1] for t in per_step)]
-                         for lid in whole}
+                         for lid in per_step[0]}
 
     @pytest.mark.parametrize("skip_kind", ["ADD", "OR", "IAND", "CONCAT"])
     def test_all_skip_kinds_run(self, skip_kind):
@@ -360,8 +361,26 @@ class TestForward:
     def test_forward_sequence(self):
         net = Network(tiny_spec(), seed=0)
         bins = [np.zeros((16, 16)) for _ in range(3)]
-        images = net.forward_sequence(bins)
+        images = list(net.forward_sequence(bins))
         assert len(images) == 3 and images[0].shape == (16, 16)
+
+    def test_forward_sequence_steps_once_per_frame_taken(self):
+        # k frames taken run exactly k steps, with gradient recording on
+        # between them; a bin past the last frame taken is never read
+        rng = np.random.default_rng(3)
+        bins = [rng.standard_normal((16, 16)) * 3 for _ in range(4)]
+        one_step = {}
+        Network(tiny_spec(), seed=0).forward_step(bins[0], one_step)
+        net = Network(tiny_spec(), seed=0)
+        spike_counts = {}
+        frames = net.forward_sequence(iter(bins + [None]), spike_counts)
+        assert not spike_counts  # nothing runs before the first frame is asked for
+        for k in range(1, 5):
+            assert next(frames).shape == (16, 16)
+            assert ad._grad_enabled
+            assert {lid: n for lid, (_, n) in spike_counts.items()} == \
+                {lid: k * n for lid, (_, n) in one_step.items()}
+        frames.close()
 
 
 
@@ -428,6 +447,17 @@ class TestCheckpointIO:
         o2 = net2.forward_step(x).data
         np.testing.assert_array_equal(o1, o2)
 
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_the_file_and_tensor(self, tmp_path, value):
+        # a NaN weight loaded silently, and its frames came out black
+        net = Network(tiny_spec(potential_assisted=True), seed=3)
+        net.named_tensors()["up1.running_var"][2] = value
+        path = tmp_path / "model.spkt"
+        net.save(path)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: tensor 'up1.running_var' holds a non-finite value")):
+            Network.load(path)
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         # load built a randomly initialized network and then overwrote
