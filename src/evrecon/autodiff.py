@@ -5,7 +5,8 @@ Everything runs in float64. Ops record themselves onto the implicit tape
 least one input requires them; `backward()` on a scalar then does one
 reverse topological sweep, summing gradients across all uses. The sweep
 consumes the graph: each saved array is freed as soon as its last reader
-has run, so a training step's memory stays at its forward's peak.
+has run, so a training step's memory stays at its forward's peak. A
+closure keeps no copy of what its parents hold; it reads their `.data`.
 """
 
 from contextlib import contextmanager
@@ -247,17 +248,18 @@ def tabs(a):
 
 def clip(a, lo, hi):
     a = as_tensor(a)
-    mask = (a.data > lo) & (a.data < hi)
-    return make_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    return make_op(np.clip(a.data, lo, hi), (a,),
+                   lambda g: (g * ((a.data > lo) & (a.data < hi)),))
 
 
 def maximum(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    mask = a.data >= b.data
-    return make_op(
-        np.maximum(a.data, b.data), (a, b),
-        lambda g: (_unbroadcast(g * mask, a.data.shape),
-                   _unbroadcast(g * ~mask, b.data.shape)))
+
+    def bw(g):
+        mask = a.data >= b.data
+        return _unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)
+
+    return make_op(np.maximum(a.data, b.data), (a, b), bw)
 
 
 # -- reductions / reshaping --------------------------------------------------

@@ -111,7 +111,9 @@ def cmd_simulate(args):
 
 
 def cmd_voxelize(args):
-    flags = None if args.height is None or args.width is None else (args.height, args.width)
+    if (args.height is None) != (args.width is None):
+        raise ConfigError("--height needs --width" if args.width is None else "--width needs --height")
+    flags = None if args.height is None else (args.height, args.width)
     events, sensor = load_events(args.events, flags)
     if sensor is None:
         raise ConfigError("event file has no size header; pass --height/--width")
@@ -208,7 +210,7 @@ def cmd_probe(args):
 
 
 def cmd_profile(args):
-    if args.paper_rates:
+    if args.paper_rates is not None:
         name = args.paper_rates
         if name not in energy_mod.PUBLISHED:
             raise ConfigError(f"unknown operating point {name!r}; "
@@ -226,13 +228,11 @@ def cmd_profile(args):
         return 0
 
     net = None
-    if args.checkpoint:
+    if args.checkpoint is not None:
         net = Network.load(args.checkpoint)
         spec = net.spec
-    elif args.spec:
-        spec = config_from_dict(NetworkSpec, _load_json(args.spec), args.spec)
     else:
-        raise ConfigError("give --checkpoint, --spec, or --paper-rates")
+        spec = config_from_dict(NetworkSpec, _load_json(args.spec), args.spec)
     counts = energy_mod.count_ann_ops(spec)
     stats = None
     empty_rate = None
@@ -421,11 +421,12 @@ def build_parser():
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("profile", help="synaptic-op counts and energy estimate")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--spec", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint", default=None)
+    source.add_argument("--spec", default=None)
+    source.add_argument("--paper-rates", default=None,
+                        help="published operating point: evsnn, pa-evsnn, e2vid-lstm, e2vid-gru")
     p.add_argument("--events", default=None)
-    p.add_argument("--paper-rates", default=None,
-                   help="published operating point: evsnn, pa-evsnn, e2vid-lstm, e2vid-gru")
     p.add_argument("--out", default=None)
     _add_window_flags(p)
     p.set_defaults(func=cmd_profile)

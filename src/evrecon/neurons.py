@@ -16,10 +16,9 @@ Each step is one fused autodiff op:
   Their backward closures share one surrogate multiplier
   1 / (1 + pi^2 (v_c - v_th)^2) and a bool `fired` mask; the reset gate
   is a constant, so v_new passes its gradient to v_c only where no spike
-  fired. Only PLIF also keeps its drive -(v - v_rest) + x, the gradient of
-  v_c by its 1/tau.
-- `mp_step` records one node and keeps no full-size array: its 1/tau
-  gradient reads x - v_prev from its inputs, which the tape holds anyway.
+  fired.
+- A closure keeps no array its inputs hold, as the tape holds them anyway:
+  the 1/tau gradients of PLIF and `mp_step` re-form their drive from them.
 - Under `no_grad` each op allocates each output once and computes into it
   with `out=`; it writes into no input. (`mp_step` adds one transient
   product.) The forward keeps the order of operations of the unfused
@@ -81,24 +80,18 @@ def _charge_fire_reset(v_prev, x, inv, cfg):
     plif = isinstance(inv, Tensor)
     parents = (v_prev, x, inv) if plif else (v_prev, x)
     a = inv.data if plif else inv
-    record = ad._recording(parents)
     v = v_prev.data
-    drive = None
     if a is None:
         v_c = np.add(v, x.data, out=np.empty(v.shape))
     else:
         # x - (v - v_rest) is bitwise -(v - v_rest) + x
         v_c = np.subtract(v, cfg.v_rest, out=np.empty(v.shape))
         np.subtract(x.data, v_c, out=v_c)
-        if record and plif:
-            drive = v_c
-            v_c = np.multiply(drive, a, out=np.empty(v.shape))
-        else:
-            np.multiply(v_c, a, out=v_c)
+        np.multiply(v_c, a, out=v_c)
         np.add(v, v_c, out=v_c)
     fired = np.greater_equal(v_c, cfg.v_th)  # v_c - v_th >= 0: H(0) = 1
     spikes = fired.astype(np.float64)
-    sg = surrogate_grad(v_c - cfg.v_th) if record else None
+    sg = surrogate_grad(v_c - cfg.v_th) if ad._recording(parents) else None
     np.copyto(v_c, cfg.v_reset, where=fired)
 
     def to_parents(g_c):
@@ -107,7 +100,9 @@ def _charge_fire_reset(v_prev, x, inv, cfg):
             return g_c, g_c
         grads = (g_c * (1.0 - a) if v_prev.requires_grad else None,
                  g_c * a if x.requires_grad else None)
-        return grads if drive is None else grads + ((g_c * drive).sum(),)
+        if plif:  # dv_c/d(1/tau) is the drive, formed as the forward formed it
+            grads += ((g_c * (x.data - (v_prev.data - cfg.v_rest))).sum(),)
+        return grads
 
     return (ad.make_op(spikes, parents, lambda g: to_parents(g * sg)),
             ad.make_op(v_c, parents, lambda g: to_parents(np.where(fired, 0.0, g))))
@@ -244,9 +239,6 @@ class NeuronLayer:
         if self.state is None:
             return Tensor(np.zeros(x.shape))
         return self.state
-
-    def parameters(self):
-        return []
 
 
 class SpikingLayer(NeuronLayer):

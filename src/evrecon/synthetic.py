@@ -109,8 +109,6 @@ def generate_events(scene):
         y.append(np.repeat(ys, n))
         p.append(np.where(d > 0, 1, -1))
         ref += np.sign(delta) * n_cross * c
-    if not t:
-        return EventStream.of([]), frames, flows
     order = np.argsort(np.concatenate(t), kind="stable")
     return EventStream(*(np.concatenate(col)[order] for col in (t, x, y, p))), frames, flows
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -571,6 +572,78 @@ class TestPoolingAndPointwise:
         np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
 
 
+def mask_keeping_clip(a, lo, hi):
+    """`ad.clip` as it was when it built its mask in the forward."""
+    a = ad.as_tensor(a)
+    mask = (a.data > lo) & (a.data < hi)
+    return ad.make_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def mask_keeping_maximum(a, b):
+    """`ad.maximum` as it was when it built its mask in the forward."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    mask = a.data >= b.data
+    return ad.make_op(
+        np.maximum(a.data, b.data), (a, b),
+        lambda g: (ad._unbroadcast(g * mask, a.data.shape),
+                   ad._unbroadcast(g * ~mask, b.data.shape)))
+
+
+class TestMaskInBackward:
+    """`clip` and `maximum` form their masks from their parents' data in the
+    backward, against the mask-keeping bodies they replaced."""
+
+    @staticmethod
+    def operands(rng):
+        # ties and values on the clip bounds, where the masks decide
+        a = np.round(rng.standard_normal((2, 3, 4, 5)), 1)
+        return a, np.round(rng.standard_normal((3, 1, 5)), 1)
+
+    CASES = {
+        "clip": (lambda a, b: ad.clip(a, -0.5, 0.5), lambda a, b: mask_keeping_clip(a, -0.5, 0.5)),
+        "maximum": (ad.maximum, mask_keeping_maximum),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bitwise_the_mask_keeping_body(self, name):
+        rng = np.random.default_rng(95)
+        a, b = self.operands(rng)
+        assert np.any(a == 0.5) and np.any(a[:, None] == b[None, :])
+        g = rng.standard_normal(a.shape)
+
+        def run(op):
+            at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            out = op(at, bt)
+            (out * g).sum().backward()
+            with ad.no_grad():
+                frozen = op(Tensor(a), Tensor(b))
+            grads = [at.grad] + ([bt.grad] if name == "maximum" else [])
+            return [x.tobytes() for x in [out.data, frozen.data] + grads]
+
+        new, old = self.CASES[name]
+        assert run(new) == run(old)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_no_grad_builds_no_mask(self, name):
+        # the output alone, at 8 bytes an element; a bool mask would add 1
+        rng = np.random.default_rng(96)
+        a, b = Tensor(rng.standard_normal(2 ** 18)), Tensor(rng.standard_normal(2 ** 18))
+        op = self.CASES[name][0]
+        with ad.no_grad():
+            op(a, b)  # warm up
+            tracemalloc.start()
+            out = op(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + a.size // 4
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_closure_keeps_no_array(self, name):
+        a, b = Tensor(rand(3, 4, seed=97), requires_grad=True), Tensor(rand(4, seed=98))
+        out = self.CASES[name][0](a, b)
+        assert out._bw is not None and _retained_bytes(out._bw) == 0
+
+
 class TestExactDivision:
     """Division and mean divide: multiplying by a rounded inverse is not exact."""
 
@@ -779,10 +852,11 @@ class TestBackward:
         h = x * w
         c = ad.clip(h, -0.5, 0.5)
         loss = ad.sigmoid(c).sum()
-        mask = weakref.ref(c._bw.__closure__[0].cell_contents)  # saved by clip's closure only
-        assert isinstance(mask(), np.ndarray)
+        # the sigmoid's output is held only by its own closure and the sum's link
+        saved = weakref.ref(loss._parents[0]._bw.__closure__[0].cell_contents)
+        assert isinstance(saved(), np.ndarray) and saved() is loss._parents[0].data
         loss.backward()
-        assert mask() is None
+        assert saved() is None
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         for node in (h, c, loss):
             assert node.grad is None and node._parents == () and node._bw is ad._consumed
@@ -979,6 +1053,26 @@ class TestAdam:
             (p * p).backward()
             opt.step()
         assert abs(float(p.data)) < 0.1
+
+    def test_missing_gradient_steps_as_zero(self):
+        # a parameter no loss reached this step still moves on its moments
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = ad.Adam([p], lr=0.1)
+        ref, state = p.data.copy(), {"m": [np.zeros(2)], "v": [np.zeros(2)], "t": 0}
+        for g in (np.array([0.5, -1.0]), None):
+            moved = p.data.copy()
+            p.grad = g
+            opt.step()
+            adam_step([ref], [np.zeros(2) if g is None else g], state, lr=0.1)
+            np.testing.assert_array_equal(p.data, ref)
+        assert not np.array_equal(p.data, moved)
+
+    def test_wrong_shaped_gradient_raises(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        p.grad = np.zeros((1, 3))
+        with pytest.raises(ShapeError, match=re.escape("gradient shape (1, 3) != parameter (3,)")):
+            ad.Adam([p], lr=0.1).step()
+        np.testing.assert_array_equal(p.data, np.zeros(3))
 
     def test_functional_adam_matches_class(self):
         rng = np.random.default_rng(25)

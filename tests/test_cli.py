@@ -163,6 +163,19 @@ class TestVoxelize:
         assert "--window-ms" in last and "--window-count" in last
         assert not (tmp_path / "g.spkt").exists()
 
+    @pytest.mark.parametrize("header", ["# 16 16\n", ""], ids=["header", "headerless"])
+    @pytest.mark.parametrize("given,missing", [("height", "width"), ("width", "height")])
+    def test_lone_size_flag_names_the_missing_one(self, tmp_path, capsys, header, given, missing):
+        # ignored under a header before, and a headerless file was told to
+        # "pass --height/--width"
+        events = tmp_path / "events.txt"
+        events.write_text(header + "0.1 1 1 1\n")
+        rc = main(["voxelize", "--events", str(events), "--out", str(tmp_path / "g.spkt"),
+                   "--window-count", "1", f"--{given}", "8"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --{given} needs --{missing}\n"
+        assert not (tmp_path / "g.spkt").exists()
+
     @pytest.mark.parametrize("window_ms", ["nan", "inf", "0", "-5"])
     def test_window_ms_must_be_positive_and_finite(self, sim_dir, tmp_path, capsys, window_ms):
         # nan escaped as a raw ValueError traceback before
@@ -720,6 +733,20 @@ class TestProfile:
         monkeypatch.setattr(cli, "Network", no_network)
         assert main(["profile", "--spec", str(spec)]) == 0
         assert capsys.readouterr().out == report
+
+    @pytest.mark.parametrize("argv,message", [
+        # the spec was dropped without a word, and a missing one exited 0
+        (["--paper-rates", "evsnn", "--spec", "missing.json"],
+         "argument --spec: not allowed with argument --paper-rates"),
+        (["--checkpoint", "c.spkt", "--spec", "s.json"],
+         "argument --spec: not allowed with argument --checkpoint"),
+        ([], "one of the arguments --checkpoint --spec --paper-rates is required"),
+    ])
+    def test_one_network_source_is_required(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"evrecon profile: error: {message}"
 
     def test_unknown_operating_point(self, capsys):
         assert main(["profile", "--paper-rates", "nope"]) == 1

@@ -132,6 +132,11 @@ class TestEnergyModel:
         assert len(report.warnings) == 1
         assert "batch-norm" in report.warnings[0]
 
+    def test_report_prints_each_warning(self):
+        counts = count_ann_ops(tiny_spec())
+        report = estimate_energy(counts, {}, empty_input_rate=0.05)
+        assert format_report(counts, report).splitlines()[-1] == f"warning: {report.warnings[0]}"
+
     def test_report_json(self):
         import json
         counts = count_ann_ops(tiny_spec())

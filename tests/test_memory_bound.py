@@ -24,17 +24,30 @@ each frame is written as it comes. Holding every bin and frame instead, a
 thin 64x64 network (1 channel) over 20k events/s in 10 ms x 5-bin windows
 peaked under tracemalloc at 9.4 MB for 0.25 s of events and at 34.1 MB for
 1 s; streamed, at 1.6 MB and 2.1 MB, the difference being the longer
-parse. Both are measured after a warm-up run of the short file, which pays
-the one-time allocations of a first run in a process.
+parse.
+
+Each peak is taken in a fresh interpreter, after a warm-up run of the
+short file that pays the one-time allocations of a first run. A traced
+peak also counts the tables the interpreter rebuilds for itself. Every
+`sliding_window_view` call (the conv gather) reads its input's
+`__array_interface__`, which interns a string that dies at once, and
+after some tens of thousands of those CPython rebuilds its table of
+interned strings: a 1.9 MB block under pytest, where that table holds
+2^17 slots. Measured inside the test process, whether a rebuild fell
+within the long run depended on which tests ran before it, and when it
+did the long run read 4.01 MB against the short run's 1.56 MB.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evrecon import autodiff as ad
-from evrecon.cli import main
 from evrecon.events import load_events
 from evrecon.model import Network, NetworkSpec
 from test_autodiff import TRACE_SLACK, tracing_conv
@@ -90,12 +103,28 @@ def test_loaded_events_hold_their_columns_only(tmp_path):
     assert peak / n <= 72, f"peak {peak / n:.1f} bytes an event"
 
 
+# argv: checkpoint, warm-up events, events, out; prints the run's traced peak
+_RECONSTRUCT_PEAK = """
+import sys, tracemalloc
+from evrecon.cli import main
+
+def run(events, out):
+    return main(["reconstruct", "--checkpoint", sys.argv[1], "--events", events,
+                 "--out", out, "--window-ms", "10", "--bins", "5"])
+
+assert run(sys.argv[2], sys.argv[4] + "_warm-up") == 0
+tracemalloc.start()
+assert run(sys.argv[3], sys.argv[4]) == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 @pytest.mark.slow
 def test_reconstruct_peak_does_not_grow_with_the_file(tmp_path):
     h, w, rate = 64, 64, 20_000
     Network(NetworkSpec(height=h, width=w, n_channels=1), seed=0).save(tmp_path / "net.spkt")
 
-    def reconstruct_peak(seconds, run):
+    def write_events(seconds):
         n = int(rate * seconds)
         rng = np.random.default_rng(0)
         t = np.sort(rng.random(n)) * seconds
@@ -104,19 +133,24 @@ def test_reconstruct_peak_does_not_grow_with_the_file(tmp_path):
             fh.write(f"# {h} {w}\n")
             fh.writelines(map("{} {} {} {}\n".format, t.tolist(), rng.integers(0, w, n).tolist(),
                               rng.integers(0, h, n).tolist(), rng.integers(0, 2, n).tolist()))
-        out = tmp_path / f"out_{run}"
-        tracemalloc.start()
-        try:
-            assert main(["reconstruct", "--checkpoint", str(tmp_path / "net.spkt"),
-                         "--events", str(path), "--out", str(out),
-                         "--window-ms", "10", "--bins", "5"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(list(out.glob("recon_*.pgm"))) == round(seconds * 100) * 5
-        return peak
+        return path
 
-    reconstruct_peak(0.25, "warm-up")  # pays the one-time allocations of a first run
+    short = write_events(0.25)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def reconstruct_peak(seconds, run):
+        """The traced peak of `reconstruct` in a fresh interpreter; BLAS stays
+        at one thread through the variables tests/conftest.py sets."""
+        out = tmp_path / f"out_{run}"
+        events = short if seconds == 0.25 else write_events(seconds)
+        proc = subprocess.run([sys.executable, "-c", _RECONSTRUCT_PEAK, str(tmp_path / "net.spkt"),
+                               str(short), str(events), str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("recon_*.pgm"))) == round(seconds * 100) * 5
+        return int(proc.stdout.split()[-1])
+
     peaks = [reconstruct_peak(0.25, "short"), reconstruct_peak(1.0, "long")]
     # holding every bin and frame added about 0.33 MB a window: 25 MB here
     assert peaks[1] - peaks[0] < 2e6, [f"{p / 1e6:.2f} MB" for p in peaks]

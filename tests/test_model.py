@@ -10,7 +10,7 @@ from evrecon import autodiff as ad
 from evrecon import checkpoint
 from evrecon.autodiff import Tensor
 from evrecon.energy import count_ann_ops
-from evrecon.errors import ConfigError, ParseError, ShapeError, config_from_dict
+from evrecon.errors import ConfigError, ContractError, ParseError, ShapeError, config_from_dict
 from evrecon.model import Network, NetworkSpec, skip_connect, spike_rate, stage_table
 from evrecon.neurons import MPLayer, SpikingLayer
 
@@ -253,6 +253,20 @@ class TestForward:
         out = net.forward_step(np.zeros((18, 22)))
         assert out.shape == (1, 1, 18, 22)
 
+    def test_if_backbone_charges_without_leak(self):
+        # the head's IF neurons add their input to the potential, then reset
+        net = Network(tiny_spec(neuron_kind="IF"), seed=0)
+        x = np.random.default_rng(58).standard_normal((16, 16))
+        u = net.stages[0].forward(Tensor(x[None, None]), False).data
+        v, fired = np.zeros_like(u), []
+        for _ in range(3):
+            net.forward_step(x)
+            v = v + u
+            fired.append(v >= net.spec.v_th)
+            v = np.where(fired[-1], net.spec.v_reset, v)
+            np.testing.assert_array_equal(net.get_state()["head"], v)
+        assert 0 < np.mean(fired) < 1
+
     def test_batch_input(self):
         net = Network(tiny_spec(), seed=0)
         out = net.forward_step(np.zeros((3, 1, 16, 16)))
@@ -432,6 +446,15 @@ class TestStateDict:
         replay = net.forward_step(x).data
         np.testing.assert_array_equal(replay, after_one)
 
+    @pytest.mark.parametrize("edit", [lambda s: s.pop("head"), lambda s: s.update(bogus=None)],
+                             ids=["missing", "extra"])
+    def test_set_state_with_other_keys_raises(self, edit):
+        net = Network(tiny_spec(), seed=0)
+        state = net.get_state()
+        edit(state)
+        with pytest.raises(ContractError, match="state keys do not match this network's layers"):
+            net.set_state(state)
+
 
 class TestCheckpointIO:
     def test_save_load_identical_outputs(self, tmp_path):
@@ -522,6 +545,26 @@ class TestCheckpointIO:
         path = tmp_path / "extra.spkt"
         checkpoint.save_tensors(path, tensors, meta={"spec": asdict(net.spec)})
         with pytest.raises(ParseError, match=rf"extra\.spkt.*'{re.escape(name)}'"):
+            Network.load(path)
+
+    @pytest.mark.parametrize("meta", [None, {"bins": 3}], ids=["no-meta", "voxel-grid-meta"])
+    def test_checkpoint_without_spec_names_the_file(self, tmp_path, meta):
+        path = tmp_path / "bare.spkt"
+        checkpoint.save_tensors(path, Network(tiny_spec(), seed=0).named_tensors(), meta=meta)
+        with pytest.raises(ContractError, match=re.escape(
+                f"{path}: checkpoint has no embedded network spec")):
+            Network.load(path)
+
+    def test_wrong_shaped_tensor_names_file_and_tensor(self, tmp_path):
+        net = Network(tiny_spec(), seed=0)
+        tensors = net.named_tensors()
+        want = tensors["down1.w"].shape
+        tensors["down1.w"] = tensors["down1.w"][:, :2]
+        path = tmp_path / "narrow.spkt"
+        checkpoint.save_tensors(path, tensors, meta={"spec": asdict(net.spec)})
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: tensor 'down1.w' has shape {tensors['down1.w'].shape}, "
+                f"the spec wants {want}")):
             Network.load(path)
 
     def test_unknown_spec_key_in_meta(self, tmp_path):

@@ -40,6 +40,43 @@ def composed_spiking_step(v_prev, x, inv, cfg):
     return _fire_and_reset(v_charge, cfg.v_th, cfg.v_reset)
 
 
+def drive_keeping_spiking_step(v_prev, x, inv, cfg):
+    """`_charge_fire_reset` as it was when a taped PLIF step saved its drive
+    -(v - v_rest) + x for its 1/tau gradient, in a second full-size array."""
+    v_prev, x = ad.as_tensor(v_prev), ad.as_tensor(x)
+    plif = isinstance(inv, Tensor)
+    parents = (v_prev, x, inv) if plif else (v_prev, x)
+    a = inv.data if plif else inv
+    record = ad._recording(parents)
+    v = v_prev.data
+    drive = None
+    if a is None:
+        v_c = np.add(v, x.data, out=np.empty(v.shape))
+    else:
+        v_c = np.subtract(v, cfg.v_rest, out=np.empty(v.shape))
+        np.subtract(x.data, v_c, out=v_c)
+        if record and plif:
+            drive = v_c
+            v_c = np.multiply(drive, a, out=np.empty(v.shape))
+        else:
+            np.multiply(v_c, a, out=v_c)
+        np.add(v, v_c, out=v_c)
+    fired = np.greater_equal(v_c, cfg.v_th)
+    spikes = fired.astype(np.float64)
+    sg = surrogate_grad(v_c - cfg.v_th) if record else None
+    np.copyto(v_c, cfg.v_reset, where=fired)
+
+    def to_parents(g_c):
+        if a is None:
+            return g_c, g_c
+        grads = (g_c * (1.0 - a) if v_prev.requires_grad else None,
+                 g_c * a if x.requires_grad else None)
+        return grads if drive is None else grads + ((g_c * drive).sum(),)
+
+    return (ad.make_op(spikes, parents, lambda g: to_parents(g * sg)),
+            ad.make_op(v_c, parents, lambda g: to_parents(np.where(fired, 0.0, g))))
+
+
 def composed_mp_step(v_prev, x, tau):
     inv = ad.pow(tau, -1.0) if isinstance(tau, Tensor) else 1.0 / tau
     return (1.0 - inv) * v_prev + inv * x
@@ -279,6 +316,31 @@ class TestFusedSpikingStep:
             assert max_rel_err(got, want) < 1e-12
 
     @pytest.mark.parametrize("kind", ["IF", "LIF", "PLIF"])
+    def test_three_steps_bitwise_the_drive_keeping_body(self, kind):
+        # outputs and every gradient, 1/tau's included, are bitwise those of
+        # the body that saved PLIF's drive; no_grad outputs too
+        rng = np.random.default_rng(69)
+        v0, _ = _near_threshold(rng, (2, 3, 4, 4), self.inv(kind))
+        xs = [_near_threshold(rng, (2, 3, 4, 4), self.inv(kind))[1] for _ in range(3)]
+        ws = [rng.standard_normal((2, 2, 3, 4, 4)) for _ in range(3)]
+
+        def run(step):
+            inv = self.inv(kind)
+            leaves = [Tensor(v0, requires_grad=True)] + [Tensor(x, requires_grad=True) for x in xs]
+            v, loss, outs = leaves[0], 0.0, []
+            for x, w in zip(leaves[1:], ws):
+                s, v = step(v, x, inv, SPIKING_CFG)
+                outs += [s.data, v.data]
+                loss = loss + (s * w[0]).sum() + (v * w[1]).sum()
+            loss.backward()
+            with ad.no_grad():
+                outs += [o.data for o in step(Tensor(v0), Tensor(xs[0]), inv, SPIKING_CFG)]
+            grads = [t.grad for t in leaves] + ([inv.grad] if isinstance(inv, Tensor) else [])
+            return [a.tobytes() for a in outs + grads]
+
+        assert run(_charge_fire_reset) == run(drive_keeping_spiking_step)
+
+    @pytest.mark.parametrize("kind", ["IF", "LIF", "PLIF"])
     def test_finite_difference_of_v_new(self, kind):
         # away from the threshold no spike flips within the FD step, so v_new
         # is smooth in (v_prev, x, 1/tau); the spike path is the surrogate's
@@ -307,10 +369,11 @@ class TestFusedSpikingStep:
         v.sum().backward()
         np.testing.assert_array_equal(x.grad, [0.5, 0.0])
 
-    @pytest.mark.parametrize("kind,per_neuron", [("IF", 9), ("LIF", 9), ("PLIF", 17)])
-    def test_keeps_multiplier_mask_and_plif_drive(self, kind, per_neuron):
-        # the float64 surrogate multiplier, the bool mask and PLIF's float64
-        # drive, shared by both nodes (plus PLIF's 8-byte 1/tau)
+    @pytest.mark.parametrize("kind", ["IF", "LIF", "PLIF"])
+    def test_keeps_only_multiplier_and_mask(self, kind):
+        # the float64 surrogate multiplier and the bool mask, shared by both
+        # nodes (plus PLIF's 8-byte 1/tau): PLIF re-forms its drive from x
+        # and v_prev, which the tape holds
         inv = self.inv(kind)
         v, x = _near_threshold(np.random.default_rng(68), (2, 3, 4, 4), inv)
         s, v_new = _charge_fire_reset(Tensor(v, requires_grad=True),
@@ -318,7 +381,7 @@ class TestFusedSpikingStep:
         seen = {}
         _retained_bytes(s._bw, seen)
         _retained_bytes(v_new._bw, seen)
-        assert sum(seen.values()) == per_neuron * v.size + (8 if kind == "PLIF" else 0)
+        assert sum(seen.values()) == 9 * v.size + (8 if kind == "PLIF" else 0)
 
     def test_tape_holds_two_nodes(self):
         v_prev = Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)

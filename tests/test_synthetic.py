@@ -129,6 +129,8 @@ class TestEventGeneration:
     def test_static_scene_emits_nothing(self):
         events, _, _ = generate_events(static_scene())
         assert events == []
+        firing, _, _ = generate_events(random_scene(4, 4, 3, np.random.default_rng(95)))
+        assert [c.dtype for c in events.columns] == [c.dtype for c in firing.columns]
 
     def test_events_sorted_by_time(self):
         scene = random_scene(10, 10, 6, np.random.default_rng(96), contrast=0.1)

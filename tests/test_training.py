@@ -5,7 +5,7 @@ import pytest
 
 from evrecon import training
 from evrecon.autodiff import Tensor
-from evrecon.errors import ConfigError, ShapeError
+from evrecon.errors import ConfigError, DivergenceError, ShapeError
 from evrecon.events import (Event, EventWindow, encode_voxel_grid, slice_temporal_bins,
                             split_windows, window_bins)
 from evrecon.model import Network, NetworkSpec
@@ -386,6 +386,16 @@ class TestTrainLoop:
         train(tiny_net(), [scene], TrainConfig(batch=1, epochs=3, seq_len=5),
               progress=seen.append)
         assert [r["epoch"] for r in seen] == [0, 1, 2]
+
+    def test_non_finite_loss_raises_before_any_update(self):
+        scene = random_scene(16, 16, 6, np.random.default_rng(127), contrast=0.1)
+        net = tiny_net()
+        net.stages[-1].w.data[0, 0, 1, 1] = np.nan  # the prediction conv
+        before = [p.data.copy() for p in net.parameters()]
+        with pytest.raises(DivergenceError, match="loss became nan at epoch 0, step 0"):
+            train(net, [scene], TrainConfig(batch=1, epochs=1, seq_len=5))
+        for p, b in zip(net.parameters(), before):
+            np.testing.assert_array_equal(p.data, b)
 
     def test_network_left_in_eval_mode(self):
         scene = random_scene(16, 16, 6, np.random.default_rng(126), contrast=0.1)
